@@ -88,6 +88,7 @@ impl SpaceUsage for KConnectivitySketch {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use dsg_graph::components::UnionFind;

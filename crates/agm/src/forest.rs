@@ -28,6 +28,7 @@ use dsg_sketch::l0::{L0Family, L0State};
 use dsg_sketch::wire::{self, WireError};
 use dsg_sketch::LinearSketch;
 use dsg_util::SpaceUsage;
+use std::sync::Arc;
 
 /// Default extra rounds beyond `ceil(log2 n)`; Borůvka halves components
 /// per round in expectation, the slack absorbs unlucky sampling.
@@ -60,13 +61,23 @@ pub struct ForestResult {
 /// let f = sk.spanning_forest();
 /// assert_eq!(f.edges.len(), 2); // {0,1} and {3,4}
 /// ```
+///
+/// # Structural sharing
+///
+/// The per-(round, vertex) states are reference-counted and copied on
+/// write: `clone()` copies `n · rounds` pointers, not the cells, and a
+/// clone and its original share every state until one of them writes to
+/// it (that write copies the one state). A clone is therefore a frozen
+/// view no later `update`/`merge` of the original can change. The field
+/// is private to this module so `Arc::make_mut` stays the only way to a
+/// `&mut L0State`.
 #[derive(Debug, Clone)]
 pub struct AgmSketch {
     n: usize,
     seed: u64,
     families: Vec<L0Family>,
     /// `states[round][vertex]`.
-    states: Vec<Vec<L0State>>,
+    states: Vec<Vec<Arc<L0State>>>,
 }
 
 impl AgmSketch {
@@ -94,9 +105,14 @@ impl AgmSketch {
         let families: Vec<L0Family> = (0..rounds)
             .map(|r| L0Family::new(universe_bits, tree.child(r as u64).seed()))
             .collect();
+        // One zero state per round, shared by every vertex until its
+        // first update.
         let states = families
             .iter()
-            .map(|f| (0..n).map(|_| f.new_state()).collect())
+            .map(|f| {
+                let zero = Arc::new(f.new_state());
+                vec![zero; n]
+            })
             .collect();
         Self {
             n,
@@ -136,9 +152,71 @@ impl AgmSketch {
         for (family, states) in self.families.iter().zip(&mut self.states) {
             for w in [edge.u(), edge.v()] {
                 let sign = incidence_sign(w, &edge);
-                family.update(&mut states[w as usize], coord, sign * delta);
+                family.update(Arc::make_mut(&mut states[w as usize]), coord, sign * delta);
             }
         }
+    }
+
+    /// The merge of `forks` (shard sketches of disjoint sub-streams),
+    /// given `self` = the merge of an earlier state of the same shards
+    /// and `dirty[v]` = "some update since then had `v` as an endpoint".
+    ///
+    /// The sketch is linear *per vertex*: `merged[r][v] = Σ forks[i][r][v]`,
+    /// and an update to edge `{u, v}` writes only to the states of `u` and
+    /// `v`. A clean vertex's sum is therefore unchanged and its state is
+    /// shared with `self` (a pointer copy); a dirty vertex's state is
+    /// recomputed from the forks — `forks[0][r][v]` plus the rest, the
+    /// same additions [`LinearSketch::merge`] performs, never a delta
+    /// against `self` — so the result is bit-identical to merging the
+    /// forks from scratch. `dirty` may be any superset of the truly
+    /// changed vertices; with every vertex dirty `self` contributes
+    /// nothing and this *is* the full merge.
+    ///
+    /// Cost: `O(n · rounds)` pointer copies plus one state copy-and-add
+    /// per dirty (vertex, round).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `forks` is empty, if `dirty.len() != n`, or if a fork
+    /// disagrees with `self` on vertex count, round count, or seed.
+    pub fn remerge(&self, forks: &[AgmSketch], dirty: &[bool]) -> AgmSketch {
+        assert_eq!(dirty.len(), self.n, "dirty mask size mismatch");
+        let (first, rest) = forks.split_first().expect("need at least one fork");
+        for fork in forks {
+            self.assert_mergeable(fork);
+        }
+        let states = (0..self.num_rounds())
+            .map(|r| {
+                (0..self.n)
+                    .map(|v| {
+                        if !dirty[v] {
+                            return Arc::clone(&self.states[r][v]);
+                        }
+                        let mut state = Arc::clone(&first.states[r][v]);
+                        for fork in rest {
+                            Arc::make_mut(&mut state).merge(&fork.states[r][v]);
+                        }
+                        state
+                    })
+                    .collect()
+            })
+            .collect();
+        AgmSketch {
+            n: self.n,
+            seed: self.seed,
+            families: self.families.clone(),
+            states,
+        }
+    }
+
+    fn assert_mergeable(&self, other: &AgmSketch) {
+        assert_eq!(self.n, other.n, "vertex count mismatch");
+        assert_eq!(
+            self.num_rounds(),
+            other.num_rounds(),
+            "round count mismatch"
+        );
+        assert_eq!(self.seed, other.seed, "seed mismatch");
     }
 
     /// Subtracts a set of known edges (each with multiplicity 1) from the
@@ -305,7 +383,7 @@ impl SpaceUsage for AgmSketch {
         let states: usize = self
             .states
             .iter()
-            .map(|row| row.iter().map(SpaceUsage::space_bytes).sum::<usize>())
+            .map(|row| row.iter().map(|st| st.space_bytes()).sum::<usize>())
             .sum();
         families + states
     }
@@ -328,16 +406,10 @@ impl LinearSketch for AgmSketch {
     }
 
     fn merge(&mut self, other: &Self) {
-        assert_eq!(self.n, other.n, "vertex count mismatch");
-        assert_eq!(
-            self.num_rounds(),
-            other.num_rounds(),
-            "round count mismatch"
-        );
-        assert_eq!(self.seed, other.seed, "seed mismatch");
+        self.assert_mergeable(other);
         for (mine, theirs) in self.states.iter_mut().zip(&other.states) {
             for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge(b);
+                Arc::make_mut(a).merge(b);
             }
         }
     }
@@ -378,7 +450,7 @@ impl LinearSketch for AgmSketch {
         let mut sk = AgmSketch::with_rounds(n, rounds, seed);
         for (family, row) in sk.families.iter().zip(sk.states.iter_mut()) {
             for st in row.iter_mut() {
-                *st = family.decode_state(&mut r)?;
+                *st = Arc::new(family.decode_state(&mut r)?);
             }
         }
         r.expect_end()?;
@@ -387,6 +459,7 @@ impl LinearSketch for AgmSketch {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use dsg_graph::components::{is_spanning_forest, num_components};
@@ -650,6 +723,78 @@ mod tests {
     fn restricted_mask_size_checked() {
         let sk = AgmSketch::new(8, 47);
         let _ = sk.spanning_forest_restricted(&[true; 4], &[]);
+    }
+
+    #[test]
+    fn clone_is_frozen_while_the_original_keeps_ingesting() {
+        let g = gen::erdos_renyi(30, 0.15, 50);
+        let mut sk = sketch_graph(&g, 51);
+        let fork = sk.clone();
+        let (bytes, forest) = (fork.to_bytes(), fork.spanning_forest().edges);
+        // Mutate the original through both write paths.
+        for e in g.edges().iter().step_by(2) {
+            sk.update(*e, -1);
+        }
+        let mut other = AgmSketch::new(30, 51);
+        other.update(Edge::new(0, 29), 1);
+        sk.merge(&other);
+        assert_ne!(sk.to_bytes(), bytes);
+        assert_eq!(fork.to_bytes(), bytes);
+        assert_eq!(fork.spanning_forest().edges, forest);
+        // ... and the other direction: writing to a fork leaves the original alone.
+        let frozen = sk.to_bytes();
+        let mut fork2 = sk.clone();
+        fork2.update(Edge::new(3, 4), 1);
+        assert_eq!(sk.to_bytes(), frozen);
+    }
+
+    #[test]
+    fn remerge_of_dirty_vertices_equals_a_full_merge() {
+        let n = 24;
+        let g = gen::erdos_renyi(n, 0.25, 52);
+        for k in 1usize..=4 {
+            let mut shards: Vec<AgmSketch> = (0..k).map(|_| AgmSketch::new(n, 53)).collect();
+            let mut single = AgmSketch::new(n, 53);
+            for (i, e) in g.edges().iter().enumerate() {
+                shards[i % k].update(*e, 1);
+                single.update(*e, 1);
+            }
+            // Everything dirty over a zero sketch is the full merge.
+            let mut merged = AgmSketch::new(n, 53).remerge(&shards, &vec![true; n]);
+            assert_eq!(merged.to_bytes(), single.to_bytes(), "k={k}");
+            // A second round of updates, endpoints recorded as dirty —
+            // including an insert-then-delete that nets to nothing.
+            let mut dirty = vec![false; n];
+            let churn: Vec<(Edge, i128)> = g
+                .edges()
+                .iter()
+                .step_by(5)
+                .map(|e| (*e, -1))
+                .chain([(Edge::new(0, 23), 1), (Edge::new(0, 23), -1)])
+                .collect();
+            for (i, (e, delta)) in churn.iter().enumerate() {
+                shards[i % k].update(*e, *delta);
+                single.update(*e, *delta);
+                dirty[e.u() as usize] = true;
+                dirty[e.v() as usize] = true;
+            }
+            assert!(dirty.iter().any(|d| !d), "some vertex must stay clean");
+            let before = merged.to_bytes();
+            let prev = merged.clone();
+            merged = merged.remerge(&shards, &dirty);
+            assert_eq!(merged.to_bytes(), single.to_bytes(), "k={k}");
+            assert_eq!(prev.to_bytes(), before, "the previous merge is untouched");
+            // Nothing dirty: the previous merge, shared.
+            let same = merged.remerge(&shards, &vec![false; n]);
+            assert_eq!(same.to_bytes(), merged.to_bytes());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dirty mask size mismatch")]
+    fn remerge_mask_size_checked() {
+        let sk = AgmSketch::new(8, 1);
+        let _ = sk.remerge(&[AgmSketch::new(8, 1)], &[true; 4]);
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub fn edge_coordinate(e: &Edge, n: usize) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -36,6 +36,8 @@
 //! assert!(is_spanning_forest(&g, &forest.edges));
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod certificate;
 pub mod forest;
 pub mod incidence;

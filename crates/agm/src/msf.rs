@@ -139,6 +139,7 @@ impl SpaceUsage for MsfSketch {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use dsg_graph::components::num_components;

@@ -8,8 +8,14 @@
 //! `dsg-spanner`, `dsg-sparsifier`, and `crates/service/tests/net_props.rs`
 //! pin that down); these benches measure only the refresh latency gap the
 //! threshold trades on.
+//!
+//! Next to them, the two stages of the epoch advance itself on an
+//! n = 2000, m = 8000 sketch pair: `agm_fork` (a shard fork — pointer
+//! copies) and `agm_remerge` with 1% / 10% / 100% of the vertices dirty
+//! (100% is the full merge).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dsg_agm::AgmSketch;
 use dsg_graph::{gen, Edge, Graph, GraphStream, StreamUpdate, Vertex};
 use dsg_service::{EpochSnapshot, GraphConfig, GraphRegistry};
 use std::hint::black_box;
@@ -95,5 +101,36 @@ fn bench_cut(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_forest, bench_oracle, bench_cut);
+/// Fork and remerge of two shard sketches that split an n = 2000,
+/// m = 8000 graph between them.
+fn bench_advance(c: &mut Criterion) {
+    let n = 2000;
+    let g = gen::gnm(n, 4 * n, 31);
+    let mut shards = vec![AgmSketch::new(n, 7), AgmSketch::new(n, 7)];
+    for (i, e) in g.edges().iter().enumerate() {
+        shards[i % 2].update(*e, 1);
+    }
+    let prev = shards[0].remerge(&shards, &vec![true; n]);
+
+    c.bench_function("agm_fork", |b| b.iter(|| black_box(shards[0].clone())));
+
+    let mut group = c.benchmark_group("agm_remerge");
+    group.sample_size(10);
+    for pct in [1usize, 10, 100] {
+        let dirty: Vec<bool> = (0..n).map(|v| v % 100 < pct).collect();
+        let id = BenchmarkId::from_parameter(format!("dirty_{pct}pct"));
+        group.bench_with_input(id, &dirty, |b, dirty| {
+            b.iter(|| black_box(prev.remerge(&shards, dirty)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_advance,
+    bench_forest,
+    bench_oracle,
+    bench_cut
+);
 criterion_main!(benches);

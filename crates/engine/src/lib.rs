@@ -172,8 +172,8 @@ impl EngineConfig {
 }
 
 /// What a shard worker must be able to do: ingest update batches, be
-/// folded into a coordinator-side reduction, and fork a consistent copy
-/// of its state for live snapshots.
+/// folded into a coordinator-side reduction, and fork a frozen view of
+/// its state for live snapshots.
 ///
 /// Every [`LinearSketch`] gets this for free via the blanket impl.
 /// Pass-structured stream algorithms whose *per-pass* state is linear but
@@ -188,9 +188,17 @@ pub trait EngineSketch: Send + 'static {
     /// sketches the union of both sub-streams).
     fn absorb(&mut self, other: Self);
 
-    /// A consistent copy of this shard's current state, taken between
-    /// batches. This is what an epoch snapshot collects while the worker
-    /// keeps ingesting — see [`ShardedEngine::snapshot_shards`].
+    /// A frozen view of this shard's current state, taken between
+    /// batches: nothing the worker ingests afterwards may show through
+    /// it. This is what an epoch snapshot collects while the worker keeps
+    /// ingesting — see [`ShardedEngine::snapshot_shards`].
+    ///
+    /// It runs on the worker thread, so its cost is ingest stall. The
+    /// blanket impl is `Clone`: a deep copy, O(state), for the flat
+    /// sketches; O(vertices · rounds) pointer copies for `AgmSketch`,
+    /// whose states are shared copy-on-write — there the worker pays for
+    /// a state's copy on its first write to it while a fork still holds
+    /// it, and pays nothing once the fork is dropped.
     fn fork(&self) -> Self;
 }
 
@@ -453,10 +461,16 @@ impl<S: EngineSketch> ShardedEngine<S> {
 
     /// Takes a consistent snapshot of every shard **without** tearing the
     /// workers down: flushes the buffered tail batches, asks each worker
-    /// to fork its state between batches, and returns the forks in shard
-    /// order. Every update pushed before this call is reflected in the
-    /// forks; none pushed after is — per-channel FIFO delivery is the
-    /// whole synchronization story. Ingest can continue immediately.
+    /// to [`fork`](EngineSketch::fork) its state between batches, and
+    /// returns the forks in shard order. Every update pushed before this
+    /// call is reflected in the forks; none pushed after is — per-channel
+    /// FIFO delivery is the whole synchronization story. Ingest can
+    /// continue immediately.
+    ///
+    /// The call blocks until every worker has drained its queue
+    /// (including the tail batches flushed here) and forked, so it costs
+    /// the queued sketching work plus one `fork` per shard — see
+    /// [`EngineSketch::fork`] for what that is per sketch type.
     ///
     /// Under hash-partitioning, fork `i` is a sketch of exactly the net
     /// sub-stream of the keys shard `i` owns ([`shard_for`]`(key, S) ==
@@ -464,9 +478,8 @@ impl<S: EngineSketch> ShardedEngine<S> {
     /// how much churn has flowed through.
     ///
     /// This is the epoch-advance primitive of the serving layer: reduce
-    /// the forks with [`merge_tree`] (or serialize them and go through
-    /// [`reduce_snapshots`]) to get the coordinator sketch frozen at this
-    /// stream position.
+    /// the forks (in memory, or serialized through [`reduce_snapshots`])
+    /// to get the coordinator sketch frozen at this stream position.
     ///
     /// # Panics
     ///
@@ -805,6 +818,37 @@ mod tests {
             LinearSketch::update(&mut direct_full, up.key, up.delta);
         }
         assert_eq!(full.to_bytes(), direct_full.to_bytes());
+    }
+
+    #[test]
+    fn agm_forks_stay_frozen_prefixes_while_ingest_continues() {
+        // AgmSketch forks share their states with the live workers
+        // (copy-on-write); ingest after the fork must never show through.
+        use dsg_agm::AgmSketch;
+        let n = 20usize;
+        let pairs = (n * (n - 1) / 2) as u64;
+        let ups: Vec<EdgeUpdate> = random_keys(400, 0xA6)
+            .into_iter()
+            .map(|k| EdgeUpdate::new(k % pairs, 1))
+            .collect();
+        let cfg = EngineConfig::new(3).batch_size(16);
+        let mut eng = ShardedEngine::start(cfg, |_| AgmSketch::new(n, 21));
+        let mut direct = AgmSketch::new(n, 21);
+        let mut held: Vec<(Vec<AgmSketch>, Vec<u8>)> = Vec::new();
+        for chunk in ups.chunks(100) {
+            eng.push_all(chunk);
+            for up in chunk {
+                LinearSketch::update(&mut direct, up.key, up.delta);
+            }
+            // Hold the raw forks (not a merged copy) across later ingest.
+            held.push((eng.snapshot_shards(), direct.to_bytes()));
+        }
+        let full = eng.finish().merged().unwrap();
+        assert_eq!(full.to_bytes(), direct.to_bytes());
+        for (i, (forks, prefix_bytes)) in held.into_iter().enumerate() {
+            let frozen = merge_tree(forks).unwrap();
+            assert_eq!(frozen.to_bytes(), prefix_bytes, "snapshot {i}");
+        }
     }
 
     #[test]

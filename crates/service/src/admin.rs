@@ -199,7 +199,8 @@ fn render_epochz(registry: &GraphRegistry) -> String {
         out.push_str(&format!(
             "{{\"graph\":{},\"epoch\":{},\"total_updates\":{},\"net_edges\":{},\
              \"num_vertices\":{},\"load_balance\":{:.4},\
-             \"incremental_builds\":{},\"full_builds\":{},\"last_patch_nanos\":{}}}",
+             \"incremental_builds\":{},\"full_builds\":{},\"last_patch_nanos\":{},\
+             \"last_dirty_vertices\":{}}}",
             json_escape(&t.name),
             t.epoch,
             t.total_updates,
@@ -208,7 +209,8 @@ fn render_epochz(registry: &GraphRegistry) -> String {
             t.load_balance,
             t.incremental_builds,
             t.full_builds,
-            t.last_patch_nanos
+            t.last_patch_nanos,
+            t.last_dirty_vertices
         ));
     }
     out.push_str("]\n");
@@ -283,6 +285,10 @@ mod tests {
                 && body.contains("\"full_builds\":")
                 && body.contains("\"last_patch_nanos\":"),
             "epochz must expose the incremental-vs-full artifact tallies"
+        );
+        assert!(
+            body.contains("\"last_dirty_vertices\":2"),
+            "one inserted edge dirties its two endpoints: {body}"
         );
         let (status, body) = scrape(addr, "/tracez?limit=10");
         assert_eq!(status, 200);

@@ -20,13 +20,18 @@
 //!   estimates.
 //!
 //! Both multi-pass builders consume the **same** sealed segment (one
-//! `Arc`, built once at epoch advance) through the multiset entry points
-//! `run_two_pass_net` / `run_sparsifier_net` — no per-artifact log
+//! `Arc`, built once at epoch advance) — no per-artifact log
 //! materialization. Rebuilding from the net multiset is bit-identical to
 //! replaying the raw log, because each pass's stream-facing state is
 //! linear in the updates and everything between passes is a deterministic
 //! function of that state; `crates/service/tests/net_props.rs` asserts
 //! the order-insensitivity end to end.
+//!
+//! The merged sketch of successive snapshots is structurally shared: an
+//! advance re-merges only the vertices its updates touched and points at
+//! the predecessor's states for the rest, so holding the previous epoch
+//! costs O(changes) memory (see `DESIGN.md`, "Structural sharing of the
+//! merged sketch").
 //!
 //! `OnceLock::get_or_init` guarantees each artifact is built exactly once
 //! per epoch no matter how many readers race for it; advancing the epoch

@@ -127,6 +127,10 @@ pub(crate) struct GraphMetrics {
     /// Epoch-advance phase: wire-format serialize + header peek
     /// (only the `advance_epoch_via_wire` path records this).
     pub epoch_wire: Histogram,
+    /// Vertices each epoch advance had to re-merge (endpoints of the
+    /// updates applied since the previous publish) — the size the phase
+    /// timings above should be read against.
+    pub epoch_dirty: Histogram,
     /// Query execution latency per [`crate::Query`] variant, in
     /// [`crate::Query::variant_index`] order.
     pub queries: [Histogram; 6],
@@ -188,6 +192,7 @@ impl GraphMetrics {
             epoch_merge: phase("merge"),
             epoch_seal: phase("seal"),
             epoch_wire: phase("wire"),
+            epoch_dirty: reg.histogram(&g("dsg_service_epoch_dirty_vertices")),
             queries: QUERY_VARIANTS.map(|q| {
                 reg.histogram(&series(
                     "dsg_service_query_nanos",

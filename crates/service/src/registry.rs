@@ -5,7 +5,8 @@
 //! ingest lock; readers clone an `Arc` of the current snapshot and never
 //! contend with ingest. [`ServedGraph::advance_epoch`] is the only bridge
 //! between the two sides: it forks every shard's state between batches
-//! (workers keep running), merges the forks, and publishes the result.
+//! (workers keep running), re-merges the vertices the epoch's updates
+//! touched, and publishes the result.
 //!
 //! The update log is kept **compacted and sharded**
 //! ([`ShardedCompactedLog`]): updates route to a per-shard
@@ -24,11 +25,12 @@ use crate::metrics::GraphMetrics;
 use crate::query::{Query, Response};
 use crate::{GraphConfig, ServiceError};
 use dsg_agm::AgmSketch;
-use dsg_engine::{merge_tree, reduce_snapshots, EdgeUpdate, EngineConfig, ShardedEngine};
+use dsg_engine::{reduce_snapshots, EdgeUpdate, EngineConfig, ShardedEngine};
 use dsg_graph::{NetMultiset, StreamUpdate, Vertex};
 use dsg_sketch::wire;
 use dsg_telemetry::{trace, EventKind, FlightRecorder, MetricRegistry, MetricsSnapshot};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Writer-side state: the live engine plus the sharded compacted log,
@@ -36,6 +38,11 @@ use std::sync::{Arc, Mutex, RwLock};
 struct IngestState {
     engine: ShardedEngine<AgmSketch>,
     live: ShardedCompactedLog,
+    /// `dirty[v]`: some update pushed to the engine since the last
+    /// publish had `v` as an endpoint — exactly the vertices whose merged
+    /// sketch states may differ from the published snapshot's. Marked in
+    /// `apply_logged`, cleared in `publish`, nowhere else.
+    dirty: Vec<bool>,
 }
 
 /// Everything a durability layer must persist to bring a [`ServedGraph`]
@@ -59,11 +66,7 @@ pub struct PersistedGraph {
     /// shard `i`'s sketch is a deterministic function of the net
     /// sub-stream of the edges `shard_for` assigns it, bounded by the
     /// live subgraph the shard owns, no matter how much churn flowed
-    /// through. (The previous round-robin engine needed a "canonical
-    /// factorization" workaround here — merged summary in shard 0, zero
-    /// sketches elsewhere — because raw round-robin forks grew with churn
-    /// residue. Edge partitioning made that workaround unnecessary and it
-    /// has been deleted.)
+    /// through.
     pub shards: Vec<PersistedShard>,
 }
 
@@ -99,25 +102,15 @@ impl PersistedGraph {
     }
 }
 
-/// Folds shard forks into one sketch while cloning only the first —
-/// linear merges take `&other`, so the remaining forks merge by
-/// reference instead of duplicating the whole shard fleet. Bit-identical
-/// to any other merge order by linearity (counter addition commutes).
-fn merge_forks(forks: &[AgmSketch]) -> AgmSketch {
-    let (first, rest) = forks.split_first().expect("engine has at least one shard");
-    let mut merged = first.clone();
-    for fork in rest {
-        dsg_sketch::LinearSketch::merge(&mut merged, fork);
-    }
-    merged
-}
-
 /// One tenant graph: a live ingest engine plus the current epoch snapshot.
 pub struct ServedGraph {
     name: String,
     config: GraphConfig,
     ingest: Mutex<IngestState>,
     current: RwLock<Arc<EpochSnapshot>>,
+    /// Dirty-vertex count of the most recent advance, for `/epochz` (a
+    /// plain atomic so it reports even when telemetry is a no-op).
+    last_dirty_vertices: AtomicU64,
     metrics: GraphMetrics,
     telemetry: Arc<MetricRegistry>,
 }
@@ -158,8 +151,10 @@ impl ServedGraph {
             ingest: Mutex::new(IngestState {
                 engine,
                 live: ShardedCompactedLog::new(n, config.shards),
+                dirty: vec![false; n],
             }),
             current: RwLock::new(Arc::new(epoch0)),
+            last_dirty_vertices: AtomicU64::new(0),
             metrics,
             telemetry,
         }
@@ -219,6 +214,8 @@ impl ServedGraph {
             st.engine
                 .push(EdgeUpdate::new(up.edge.index(n), up.delta as i128));
             let shard = st.live.apply(up);
+            st.dirty[up.edge.u() as usize] = true;
+            st.dirty[up.edge.v() as usize] = true;
             // A validated deletion always annihilates one prior insertion
             // in the owning shard's net map — count it as a cancellation.
             if up.delta < 0 {
@@ -263,9 +260,16 @@ impl ServedGraph {
 
     /// Freezes the current stream position into a new immutable epoch and
     /// publishes it, while the shard workers keep running. In-memory
-    /// merge path ([`merge_tree`] over the shard forks).
+    /// path: the new coordinator sketch shares every state of the
+    /// published one except those of the vertices updated since, which
+    /// are re-summed from the shard forks ([`AgmSketch::remerge`]) — the
+    /// advance costs O(changes), and so does holding the previous epoch.
     pub fn advance_epoch(&self) -> Arc<EpochSnapshot> {
-        self.advance_with(|forks| merge_tree(forks).expect("engine has at least one shard"))
+        let trace_id = self.trace_or_mint();
+        let _scope = trace::scoped(trace_id);
+        let mut st = self.ingest.lock().expect("ingest lock poisoned");
+        let (_forks, merged) = self.fork_and_remerge(&mut st, trace_id);
+        self.publish(&mut st, merged)
     }
 
     /// Like [`advance_epoch`](ServedGraph::advance_epoch), but routes
@@ -283,13 +287,7 @@ impl ServedGraph {
         let trace_id = self.trace_or_mint();
         let _scope = trace::scoped(trace_id);
         let mut st = self.ingest.lock().expect("ingest lock poisoned");
-        let forks = self.metrics.epoch_fork.time(|| st.engine.snapshot_shards());
-        self.metrics.tracer.record(
-            EventKind::EpochFork,
-            trace_id,
-            self.metrics.tenant,
-            forks.len() as u64,
-        );
+        let forks = self.fork_shards(&mut st, trace_id);
         let wire_timer = self.metrics.epoch_wire.start_timer();
         // Each shard frame travels as a VERSION_TRACED frame carrying the
         // advance's trace id, so the id survives the serialize → decode
@@ -339,21 +337,13 @@ impl ServedGraph {
             .epoch_merge
             .time(|| reduce_snapshots::<AgmSketch>(&frames))?
             .expect("engine has at least one shard");
-        self.metrics
-            .tracer
-            .record(EventKind::EpochMerge, trace_id, self.metrics.tenant, 0);
+        self.record_merge(&st, trace_id);
         Ok(self.publish(&mut st, merged))
     }
 
-    /// Shared epoch-advance plumbing: snapshot the shards under the
-    /// ingest lock, reduce them with `merge`, seal the log, publish.
-    fn advance_with<F>(&self, merge: F) -> Arc<EpochSnapshot>
-    where
-        F: FnOnce(Vec<AgmSketch>) -> AgmSketch,
-    {
-        let trace_id = self.trace_or_mint();
-        let _scope = trace::scoped(trace_id);
-        let mut st = self.ingest.lock().expect("ingest lock poisoned");
+    /// Forks every shard at the current stream position (the caller holds
+    /// the ingest lock, so all forks see the same prefix).
+    fn fork_shards(&self, st: &mut IngestState, trace_id: u64) -> Vec<AgmSketch> {
         let forks = self.metrics.epoch_fork.time(|| st.engine.snapshot_shards());
         self.metrics.tracer.record(
             EventKind::EpochFork,
@@ -361,11 +351,33 @@ impl ServedGraph {
             self.metrics.tenant,
             forks.len() as u64,
         );
-        let merged = self.metrics.epoch_merge.time(|| merge(forks));
+        forks
+    }
+
+    /// The in-memory reduction every advance but the wire path uses:
+    /// fork the shards, then re-merge only the dirty vertices over the
+    /// published sketch. Returns the forks too (a checkpoint persists
+    /// them).
+    fn fork_and_remerge(&self, st: &mut IngestState, trace_id: u64) -> (Vec<AgmSketch>, AgmSketch) {
+        let forks = self.fork_shards(st, trace_id);
+        let prev = self.snapshot();
+        let merged = self
+            .metrics
+            .epoch_merge
+            .time(|| prev.sketch().remerge(&forks, &st.dirty));
+        self.record_merge(st, trace_id);
+        (forks, merged)
+    }
+
+    /// Records how many vertices the advance's merge had to treat as
+    /// changed — what tells a slow advance from a large one.
+    fn record_merge(&self, st: &IngestState, trace_id: u64) {
+        let dirty = st.dirty.iter().filter(|&&d| d).count() as u64;
+        self.metrics.epoch_dirty.record(dirty);
+        self.last_dirty_vertices.store(dirty, Ordering::Relaxed);
         self.metrics
             .tracer
-            .record(EventKind::EpochMerge, trace_id, self.metrics.tenant, 0);
-        self.publish(&mut st, merged)
+            .record(EventKind::EpochMerge, trace_id, self.metrics.tenant, dirty);
     }
 
     /// The trace id an epoch advance runs under: the caller's ambient id
@@ -381,10 +393,13 @@ impl ServedGraph {
 
     /// Seals every shard's compacted log and assembles the epoch's net
     /// edge segment by concatenating the (disjoint) shard segments, then
-    /// swaps in the new snapshot. Must be called with the ingest lock
-    /// held (enforced by the `&mut` borrow). O(current edges) — bounded
-    /// by the live graph no matter how long the stream has run.
+    /// swaps in the new snapshot and resets the dirty set (which is
+    /// defined against the snapshot being published). Must be called with
+    /// the ingest lock held (enforced by the `&mut` borrow). O(current
+    /// edges) — bounded by the live graph no matter how long the stream
+    /// has run.
     fn publish(&self, st: &mut IngestState, merged: AgmSketch) -> Arc<EpochSnapshot> {
+        st.dirty.fill(false);
         let total = st.engine.pushed();
         let prev = self.snapshot();
         let next_epoch = prev.epoch() + 1;
@@ -428,21 +443,15 @@ impl ServedGraph {
     /// owns. A graph restored from the result —
     /// [`GraphRegistry::restore`] — serves the same answers, bit for bit,
     /// as this one did at the capture point.
+    ///
+    /// The returned forks share their states with the live workers; a
+    /// worker copies a state only if it writes to it while the
+    /// `PersistedGraph` is still alive.
     pub fn checkpoint_state(&self) -> PersistedGraph {
         let trace_id = self.trace_or_mint();
         let _scope = trace::scoped(trace_id);
         let mut st = self.ingest.lock().expect("ingest lock poisoned");
-        let forks = self.metrics.epoch_fork.time(|| st.engine.snapshot_shards());
-        self.metrics.tracer.record(
-            EventKind::EpochFork,
-            trace_id,
-            self.metrics.tenant,
-            forks.len() as u64,
-        );
-        let merged = self.metrics.epoch_merge.time(|| merge_forks(&forks));
-        self.metrics
-            .tracer
-            .record(EventKind::EpochMerge, trace_id, self.metrics.tenant, 0);
+        let (forks, merged) = self.fork_and_remerge(&mut st, trace_id);
         let shard_nets = self.metrics.epoch_seal.time(|| st.live.seal_shards());
         let snap = self.publish(&mut st, merged);
         debug_assert_eq!(forks.len(), shard_nets.len(), "one segment per shard");
@@ -481,7 +490,11 @@ impl ServedGraph {
         let net = Arc::new(state.epoch_net());
         let (sketches, shard_nets): (Vec<AgmSketch>, Vec<NetMultiset>) =
             state.shards.into_iter().map(|s| (s.sketch, s.net)).unzip();
-        let merged = merge_forks(&sketches);
+        // Nothing published yet to share states with: every vertex is
+        // dirty, so the base contributes only its shape and the remerge is
+        // the full merge.
+        let base = sketches.first().expect("persisted graph has a shard");
+        let merged = base.remerge(&sketches, &vec![true; base.num_vertices()]);
         let mut engine = ShardedEngine::restore(engine_cfg, sketches, state.total_updates);
         engine.set_metrics(metrics.engine.clone());
         let live = ShardedCompactedLog::from_shard_nets(&shard_nets);
@@ -496,8 +509,13 @@ impl ServedGraph {
         Self {
             name,
             config,
-            ingest: Mutex::new(IngestState { engine, live }),
+            ingest: Mutex::new(IngestState {
+                engine,
+                live,
+                dirty: vec![false; config.n],
+            }),
             current: RwLock::new(Arc::new(snap)),
+            last_dirty_vertices: AtomicU64::new(0),
             metrics,
             telemetry,
         }
@@ -548,7 +566,6 @@ impl ServedGraph {
     /// A point-in-time operational summary of this tenant — what the
     /// admin endpoint's `/epochz` serves per graph.
     pub fn epoch_stats(&self) -> TenantEpochStats {
-        use std::sync::atomic::Ordering;
         let snap = self.snapshot();
         let choices = &self.metrics.artifacts.shared;
         TenantEpochStats {
@@ -561,6 +578,7 @@ impl ServedGraph {
             incremental_builds: choices.incremental_total.load(Ordering::Relaxed),
             full_builds: choices.full_total.load(Ordering::Relaxed),
             last_patch_nanos: choices.last_patch_nanos.load(Ordering::Relaxed),
+            last_dirty_vertices: self.last_dirty_vertices.load(Ordering::Relaxed),
         }
     }
 }
@@ -589,6 +607,11 @@ pub struct TenantEpochStats {
     /// Wall time of the most recent successful patch, nanoseconds (0
     /// until the first patch).
     pub last_patch_nanos: u64,
+    /// Vertices the most recent epoch advance had to re-merge (endpoints
+    /// of the updates applied since the advance before it; 0 until the
+    /// first advance). A slow advance with a small count is a slow
+    /// advance; with a large one it is a large epoch.
+    pub last_dirty_vertices: u64,
 }
 
 /// The multi-tenant registry: many named [`ServedGraph`]s behind one
@@ -974,6 +997,15 @@ mod tests {
                 .unwrap();
             assert!(h.count() >= 1, "epoch phase {phase} must be timed");
         }
+        let dirty = snap
+            .histogram("dsg_service_epoch_dirty_vertices{graph=\"soc\"}")
+            .unwrap();
+        assert_eq!(
+            (dirty.count(), dirty.sum),
+            (1, 3),
+            "one advance, which re-merged the endpoints 0, 1, 2"
+        );
+        assert_eq!(g.epoch_stats().last_dirty_vertices, 3);
         assert_eq!(
             snap.counter("dsg_service_artifact_builds_total{artifact=\"forest\",graph=\"soc\"}"),
             Some(1),

@@ -67,6 +67,7 @@ fn admin_endpoint_serves_scrapable_metrics_and_valid_trace_json() {
     assert!(!body.is_empty(), "/metrics body must be non-empty");
     assert!(body.contains("dsg_engine_batches_sent_total"));
     assert!(body.contains("graph=\"social\""));
+    assert!(body.contains("dsg_service_epoch_dirty_vertices"));
 
     // /epochz parses as a JSON array of per-tenant objects.
     let (status, body) = scrape(addr, "/epochz");
@@ -79,6 +80,11 @@ fn admin_endpoint_serves_scrapable_metrics_and_valid_trace_json() {
     assert_eq!(t.get("epoch").and_then(JsonValue::as_u64), Some(1));
     assert_eq!(t.get("total_updates").and_then(JsonValue::as_u64), Some(20));
     assert!(t.get("net_edges").and_then(JsonValue::as_u64).unwrap() > 0);
+    // The 20 path edges touch vertices 0..=20.
+    assert_eq!(
+        t.get("last_dirty_vertices").and_then(JsonValue::as_u64),
+        Some(21)
+    );
 
     // /tracez parses as Chrome trace_event JSON with well-formed events.
     let (status, body) = scrape(addr, "/tracez");

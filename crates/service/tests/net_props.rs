@@ -10,6 +10,8 @@
 //! guard rail that makes cancellation sound: a deletion below net
 //! multiplicity zero is a typed, whole-batch-atomic error.
 
+use dsg_agm::AgmSketch;
+use dsg_engine::{merge_tree, EdgeUpdate, EngineConfig, ShardedEngine};
 use dsg_graph::{gen, Edge, GraphStream, StreamUpdate, Vertex};
 use dsg_service::{EpochSnapshot, GraphConfig, GraphRegistry, Query, Response, ServiceError};
 use dsg_sketch::LinearSketch;
@@ -386,6 +388,157 @@ fn churn_threshold_boundary_switches_patch_to_rebuild() {
         "fallback past the boundary"
     );
     assert_bit_identical(&over, &epoch_of(config, &cumulative), "over boundary");
+}
+
+/// A pair that is not live, for insert-only steps.
+fn fresh_edge(live: &HashSet<Edge>, n: usize, rng: &mut u64) -> Edge {
+    loop {
+        let u = (lcg(rng) % n as u64) as Vertex;
+        let v = (lcg(rng) % n as u64) as Vertex;
+        if u != v && !live.contains(&Edge::new(u.min(v), u.max(v))) {
+            return Edge::new(u.min(v), u.max(v));
+        }
+    }
+}
+
+/// What one step of the epoch chain below feeds the graph.
+#[derive(Clone, Copy)]
+enum Feed {
+    Nothing,
+    OneInsert,
+    /// Insert then delete the same fresh pair: net zero, two dirty vertices.
+    InsertThenDelete,
+    Churn(f64),
+}
+
+/// How one step of the epoch chain below publishes.
+#[derive(Clone, Copy)]
+enum Publish {
+    Memory,
+    Wire,
+    Checkpoint,
+    /// `checkpoint_state`, then continue on a graph restored from it.
+    Restore,
+}
+
+/// The dirty-vertex remerge is unobservable: along a chain of epochs of
+/// mixed size, published by every path in turn, each snapshot's sketch
+/// is byte-for-byte a single sketch fed the whole stream and a full
+/// `merge_tree` over fresh forks of a twin engine; an epoch without
+/// updates keeps its predecessor's forest; and no published snapshot is
+/// changed by the epochs after it, although they share its states.
+#[test]
+fn remerged_epoch_chain_is_bit_identical_to_full_merges() {
+    use Feed::*;
+    use Publish::*;
+    let n = 40;
+    let g = gen::erdos_renyi(n, 0.2, 41);
+    let steps = [
+        (Churn(0.01), Memory),
+        (Nothing, Memory),
+        (OneInsert, Checkpoint),
+        (Churn(0.4), Wire),
+        (InsertThenDelete, Memory),
+        (Churn(0.01), Restore),
+        (Nothing, Memory),
+        (Churn(0.4), Memory),
+        (OneInsert, Wire),
+        (Churn(0.01), Checkpoint),
+        (InsertThenDelete, Memory),
+    ];
+    for shards in 1usize..=4 {
+        let config = GraphConfig::new(n).seed(19).shards(shards).batch_size(8);
+        let mut reg = GraphRegistry::new();
+        let mut served = reg.create("g", config).unwrap();
+        let engine_cfg = EngineConfig::new(shards).batch_size(8);
+        let mut twin = ShardedEngine::start(engine_cfg, |_| AgmSketch::new(n, 19));
+        let mut single = AgmSketch::new(n, 19);
+        let mut live: HashSet<Edge> = g.edges().iter().copied().collect();
+        let mut rng = 0xC0FFEE ^ shards as u64;
+        // (snapshot, its bytes and freshly decoded forest at publish time)
+        let mut held: Vec<(Arc<EpochSnapshot>, Vec<u8>, Vec<Edge>)> = Vec::new();
+
+        let load = GraphStream::insert_only(&g, 42).updates().to_vec();
+        let mut batches = vec![(load, Memory)];
+        for (feed, publish) in steps {
+            let batch = match feed {
+                Nothing => Vec::new(),
+                OneInsert => {
+                    let e = fresh_edge(&live, n, &mut rng);
+                    live.insert(e);
+                    vec![StreamUpdate::insert(e.u(), e.v())]
+                }
+                InsertThenDelete => {
+                    let e = fresh_edge(&live, n, &mut rng);
+                    vec![
+                        StreamUpdate::insert(e.u(), e.v()),
+                        StreamUpdate::delete(e.u(), e.v()),
+                    ]
+                }
+                Churn(frac) => churn_batch(&mut live, n, frac, &mut rng),
+            };
+            batches.push((batch, publish));
+        }
+
+        for (step, (batch, publish)) in batches.into_iter().enumerate() {
+            let ctx = format!("shards {shards}, step {step}");
+            served.apply(&batch).unwrap();
+            for up in &batch {
+                twin.push(EdgeUpdate::new(up.edge.index(n), up.delta as i128));
+                single.update(up.edge, up.delta as i128);
+            }
+            let prev = served.snapshot();
+            let snap = match publish {
+                Memory => served.advance_epoch(),
+                Wire => served.advance_epoch_via_wire().unwrap(),
+                Checkpoint | Restore => {
+                    let state = served.checkpoint_state();
+                    let forks = state.shards.iter().map(|s| s.sketch.clone()).collect();
+                    assert_eq!(
+                        merge_tree::<AgmSketch>(forks).unwrap().to_bytes(),
+                        single.to_bytes(),
+                        "persisted forks: {ctx}"
+                    );
+                    let snap = served.snapshot();
+                    if matches!(publish, Restore) {
+                        reg = GraphRegistry::new();
+                        served = reg.restore("g", config, state).unwrap();
+                        assert_eq!(
+                            served.snapshot().sketch().to_bytes(),
+                            snap.sketch().to_bytes(),
+                            "restored: {ctx}"
+                        );
+                    }
+                    snap
+                }
+            };
+            let bytes = snap.sketch().to_bytes();
+            assert_eq!(bytes, single.to_bytes(), "vs single sketch: {ctx}");
+            assert_eq!(
+                bytes,
+                merge_tree(twin.snapshot_shards()).unwrap().to_bytes(),
+                "vs full merge of fresh forks: {ctx}"
+            );
+            assert_eq!(snap.total_updates(), twin.pushed(), "{ctx}");
+            if batch.is_empty() {
+                assert_eq!(
+                    snap.forest().result.edges,
+                    prev.forest().result.edges,
+                    "{ctx}"
+                );
+                assert_eq!(snap.forest().labels, prev.forest().labels, "{ctx}");
+            }
+            let forest = snap.sketch().spanning_forest().edges;
+            held.push((snap, bytes, forest));
+        }
+
+        // Snapshot isolation under sharing: decode every held epoch again.
+        for (snap, bytes, forest) in &held {
+            let ctx = format!("shards {shards}, held epoch {}", snap.epoch());
+            assert_eq!(&snap.sketch().to_bytes(), bytes, "{ctx}");
+            assert_eq!(&snap.sketch().spanning_forest().edges, forest, "{ctx}");
+        }
+    }
 }
 
 /// Invalid deltas are typed errors too (the compacted log can only cancel

@@ -11,7 +11,12 @@
 
 use dsg_service::{GraphConfig, GraphRegistry, Query, QueryService};
 use dsg_store::{DurableRegistry, ScratchDir, StoreOptions};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// The thread count is process-wide and the harness runs this file's
+/// tests on parallel threads: each test holds this for its whole body, so
+/// neither counts the other's workers into its baseline or its total.
+static COUNTING: Mutex<()> = Mutex::new(());
 
 /// Live thread count of this process (Linux; `None` elsewhere).
 fn thread_count() -> Option<usize> {
@@ -22,6 +27,9 @@ fn thread_count() -> Option<usize> {
 
 #[test]
 fn create_remove_cycles_leak_no_threads() {
+    let _alone = COUNTING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let Some(_) = thread_count() else {
         eprintln!("skipping: /proc/self/task unavailable on this platform");
         return;
@@ -62,6 +70,9 @@ fn run_round(registry: &Arc<GraphRegistry>, name: &str) {
 
 #[test]
 fn durable_create_remove_cycles_leak_no_threads_or_files() {
+    let _alone = COUNTING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let Some(_) = thread_count() else {
         eprintln!("skipping: /proc/self/task unavailable on this platform");
         return;
