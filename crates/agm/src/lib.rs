@@ -41,8 +41,6 @@
 pub mod certificate;
 pub mod forest;
 pub mod incidence;
-pub mod msf;
 
 pub use certificate::KConnectivitySketch;
 pub use forest::{AgmSketch, ForestResult};
-pub use msf::MsfSketch;

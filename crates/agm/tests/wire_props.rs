@@ -1,12 +1,14 @@
-//! `LinearSketch` contract properties for [`AgmSketch`], the eighth
-//! implementor (the other seven live in `crates/sketch/tests/wire_props.rs`):
+//! `LinearSketch` contract properties for [`AgmSketch`], the fifth
+//! implementor (the other four live in `crates/sketch/tests/wire_props.rs`):
 //! shard-split invariance and wire roundtrip, both down to canonical
-//! snapshot bytes, plus forest-answer equality after a split.
+//! snapshot bytes, plus forest-answer equality after a split. Also pins
+//! that every implementor rejects frames of the retired kinds 5–7.
 
 use dsg_agm::AgmSketch;
 use dsg_graph::ids::num_pairs;
 use dsg_graph::{index_to_pair, Edge};
-use dsg_sketch::LinearSketch;
+use dsg_sketch::wire::{self, WireError};
+use dsg_sketch::{DistinctEstimator, L0Sampler, LinearHashTable, LinearSketch, SparseRecovery};
 use proptest::prelude::*;
 
 const N: usize = 16;
@@ -60,7 +62,7 @@ proptest! {
             let (u, v) = index_to_pair(coord, N);
             sk.update(Edge::new(u, v), delta as i128);
         }
-        let snap = sk.snapshot();
+        let snap = sk.to_bytes();
         let header = dsg_sketch::wire::peek_kind(&snap).unwrap();
         prop_assert_eq!(header.kind, dsg_sketch::wire::KIND_AGM);
         prop_assert_eq!(header.version, dsg_sketch::wire::VERSION);
@@ -79,4 +81,44 @@ proptest! {
         bytes[pos] ^= 0x2A;
         prop_assert!(AgmSketch::from_bytes(&bytes).is_err());
     }
+}
+
+/// Re-tags `S`'s own valid frame with each retired kind (checksum and
+/// payload stay intact) and checks the decoder answers `WrongKind`.
+fn check_rejects_retired_kinds<S: LinearSketch>(sketch: &S) {
+    for retired in [
+        wire::KIND_COUNTSKETCH,
+        wire::KIND_GUARDED,
+        wire::KIND_FINGERPRINT,
+    ] {
+        let mut frame = sketch.to_bytes();
+        frame[6..8].copy_from_slice(&retired.to_le_bytes());
+        match S::from_bytes(&frame) {
+            Err(WireError::WrongKind { expected, found }) => {
+                assert_eq!(expected, S::WIRE_KIND);
+                assert_eq!(found, retired);
+            }
+            Err(other) => panic!("kind {retired}: expected WrongKind, got {other}"),
+            Ok(_) => panic!("kind {retired} decoded as kind {}", S::WIRE_KIND),
+        }
+    }
+}
+
+#[test]
+fn retired_kinds_are_rejected_by_every_decoder() {
+    let mut agm = AgmSketch::new(N, 3);
+    agm.update(Edge::new(0, 1), 1);
+    check_rejects_retired_kinds(&agm);
+    let mut sr = SparseRecovery::new(8, 3);
+    sr.update(5, 2);
+    check_rejects_retired_kinds(&sr);
+    let mut l0 = L0Sampler::new(6, 3);
+    LinearSketch::update(&mut l0, 5, 2);
+    check_rejects_retired_kinds(&l0);
+    let mut distinct = DistinctEstimator::new(6, 0.5, 3, 3);
+    LinearSketch::update(&mut distinct, 5, 2);
+    check_rejects_retired_kinds(&distinct);
+    let mut table = LinearHashTable::new(8, 1, 3);
+    LinearSketch::update(&mut table, 5, 2);
+    check_rejects_retired_kinds(&table);
 }

@@ -73,7 +73,7 @@ fn bench_coordinator(c: &mut Criterion) {
     group.bench_function("snapshot_roundtrip", |b| {
         let sketch = &shards[0];
         b.iter(|| {
-            let bytes = sketch.snapshot();
+            let bytes = sketch.to_bytes();
             black_box(AgmSketch::from_bytes(&bytes).unwrap())
         });
     });

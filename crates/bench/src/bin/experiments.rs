@@ -4,20 +4,16 @@
 //! Usage:
 //!
 //! ```text
-//! experiments all [--quick] [--json]
+//! experiments all [--quick]
 //! experiments <name> [--quick]    # e.g. spanner-size
 //! experiments list
 //! ```
-//!
-//! `--json` additionally measures the perf-trajectory medians and writes
-//! them to `BENCH_9.json` in the working directory.
 
 use dsg_bench::{experiments, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
     let names: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -55,15 +51,5 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-
-    if json {
-        let t0 = std::time::Instant::now();
-        let doc = experiments::summary::bench_summary_json(scale);
-        std::fs::write("BENCH_9.json", &doc).expect("write BENCH_9.json");
-        eprintln!(
-            "[bench summary -> BENCH_9.json: {:.1}s]\n{doc}",
-            t0.elapsed().as_secs_f64()
-        );
     }
 }

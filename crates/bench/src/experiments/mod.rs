@@ -13,7 +13,6 @@ pub mod sketch_exps;
 pub mod spanner_exps;
 pub mod sparsifier_exps;
 pub mod store_exps;
-pub mod summary;
 pub mod telemetry_exps;
 pub mod tracing_exps;
 

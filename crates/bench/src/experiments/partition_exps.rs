@@ -67,7 +67,7 @@ pub fn partition(scale: Scale) {
         let t0 = Instant::now();
         let forks = eng.snapshot_shards();
         let fork_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let hash_bytes: Vec<usize> = forks.iter().map(|s| s.snapshot().len()).collect();
+        let hash_bytes: Vec<usize> = forks.iter().map(|s| s.to_bytes().len()).collect();
         let run = eng.finish();
 
         // The retired router, simulated: batches dealt round-robin,
@@ -76,7 +76,7 @@ pub fn partition(scale: Scale) {
         for (i, up) in stream.updates().iter().enumerate() {
             rr[(i / batch) % shards].update(up.edge, up.delta as i128);
         }
-        let rr_bytes: Vec<usize> = rr.iter().map(|s| s.snapshot().len()).collect();
+        let rr_bytes: Vec<usize> = rr.iter().map(|s| s.to_bytes().len()).collect();
 
         // Bit-identity: both partitions merge to the single-threaded
         // sketch of the whole stream — routing is a pure locality choice.

@@ -242,8 +242,8 @@ pub struct EngineMetrics {
     /// statistic as [`EngineRun::load_balance`], updated per dispatch).
     pub load_balance: Gauge,
     /// Flight recorder for per-batch trace events (one
-    /// [`EventKind::EngineBatch`](dsg_telemetry::EventKind::EngineBatch)
-    /// per dispatch, under the dispatching thread's ambient trace id).
+    /// [`EventKind::EngineBatch`] per dispatch, under the dispatching
+    /// thread's ambient trace id).
     pub tracer: FlightRecorder,
     /// Interned tenant token for the recorder's events (0 = none).
     pub tenant: u32,
@@ -342,7 +342,7 @@ impl<S: LinearSketch + Send + 'static> EngineRun<S> {
     /// Serializes every shard sketch into its wire snapshot — what each
     /// server ships to the coordinator in the distributed deployment.
     pub fn snapshots(&self) -> Vec<Vec<u8>> {
-        self.shards.iter().map(|s| s.snapshot()).collect()
+        self.shards.iter().map(|s| s.to_bytes()).collect()
     }
 }
 
@@ -789,7 +789,7 @@ mod tests {
     fn corrupted_snapshot_rejected() {
         let mut s = SparseRecovery::new(8, 13);
         LinearSketch::update(&mut s, 1, 1);
-        let mut snap = s.snapshot();
+        let mut snap = s.to_bytes();
         let last = snap.len() - 1;
         snap[last] ^= 0x55;
         let res: Result<Option<SparseRecovery>, _> = reduce_snapshots(&[snap]);

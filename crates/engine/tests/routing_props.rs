@@ -12,10 +12,7 @@
 
 use dsg_agm::AgmSketch;
 use dsg_engine::{shard_for, EdgeUpdate, EngineConfig, ShardedEngine};
-use dsg_sketch::{
-    CountSketch, DistinctEstimator, GuardedSketch, L0Sampler, LinearHashTable, LinearSketch,
-    SparseRecovery, VectorFingerprint,
-};
+use dsg_sketch::{DistinctEstimator, L0Sampler, LinearHashTable, LinearSketch, SparseRecovery};
 use proptest::prelude::*;
 
 /// A small universe keeps collision and cancellation cases interesting.
@@ -139,13 +136,4 @@ routing_properties!(distinct_routing_invariant, |seed| DistinctEstimator::new(
 routing_properties!(hashtable_routing_invariant, |seed| LinearHashTable::new(
     32, 2, seed
 ));
-routing_properties!(countsketch_routing_invariant, |seed| CountSketch::new(
-    3, 32, seed
-));
-routing_properties!(guarded_routing_invariant, |seed| GuardedSketch::new(
-    8, 6, seed
-));
-routing_properties!(fingerprint_routing_invariant, |seed| {
-    VectorFingerprint::new(seed)
-});
 routing_properties!(agm_routing_invariant, |seed| AgmSketch::new(16, seed));

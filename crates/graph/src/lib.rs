@@ -14,8 +14,8 @@
 //!   the paper's Theorem 4 lower bound;
 //! * [`bfs`] / [`dijkstra`] — shortest-path machinery for measuring spanner
 //!   stretch and additive distortion;
-//! * [`components`] / [`mst`] — union–find, connected components, spanning
-//!   forests and Kruskal MST (verification targets for AGM sketches);
+//! * [`components`] — union–find, connected components and spanning
+//!   forests (verification targets for AGM sketches);
 //! * [`stream`] — the dynamic stream model itself: signed edge updates,
 //!   churn generators that interleave insertions with deletions, and
 //!   weighted streams where deletions remove a known weight (the model the
@@ -47,7 +47,6 @@ pub mod dijkstra;
 pub mod gen;
 pub mod graph;
 pub mod ids;
-pub mod mst;
 pub mod multiset;
 pub mod pass;
 pub mod stream;

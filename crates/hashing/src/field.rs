@@ -103,6 +103,7 @@ pub fn inv(a: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

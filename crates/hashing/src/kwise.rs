@@ -78,16 +78,6 @@ impl KWiseHash {
     pub fn hash_unit(&self, x: u64) -> f64 {
         self.hash(x) as f64 / field::P as f64
     }
-
-    /// A ±1 value derived from the low bit of the hash (for CountSketch).
-    #[inline]
-    pub fn hash_sign(&self, x: u64) -> i64 {
-        if self.hash(x) & 1 == 1 {
-            1
-        } else {
-            -1
-        }
-    }
 }
 
 impl SpaceUsage for KWiseHash {
@@ -97,6 +87,7 @@ impl SpaceUsage for KWiseHash {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
@@ -144,13 +135,6 @@ mod tests {
             let u = h.hash_unit(x);
             assert!((0.0..1.0).contains(&u));
         }
-    }
-
-    #[test]
-    fn sign_is_roughly_balanced() {
-        let h = KWiseHash::new(4, 9);
-        let pos = (0..10_000u64).filter(|&x| h.hash_sign(x) == 1).count();
-        assert!((4_000..6_000).contains(&pos), "positives={pos}");
     }
 
     #[test]

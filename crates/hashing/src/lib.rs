@@ -18,10 +18,11 @@
 //! * [`rng`] — `SplitMix64` mixing and hierarchical seed derivation
 //!   ([`SeedTree`]), so the whole system is reproducible from one `u64`;
 //! * [`subset`] — Bernoulli subset samplers implementing the membership
-//!   predicates above without materializing the sets;
-//! * [`nisan`] — a Nisan-style pseudorandom generator, the derandomization
-//!   tool Section 6.3 of the paper invokes to avoid `Ω(n^2)` stored random
-//!   bits.
+//!   predicates above without materializing the sets.
+//!
+//! Section 6.3's derandomization (Nisan's PRG) is not implemented: every
+//! family here is seeded from one `u64` through [`SeedTree`], so no large
+//! random tape is ever stored (see `DESIGN.md`, "Derandomization").
 //!
 //! # Examples
 //!
@@ -35,13 +36,13 @@
 //! assert!((kept as f64 - 1250.0).abs() < 200.0);
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod field;
 pub mod kwise;
-pub mod nisan;
 pub mod rng;
 pub mod subset;
 
 pub use kwise::KWiseHash;
-pub use nisan::NisanPrg;
 pub use rng::{derive_seed, SeedTree, SplitMix64};
 pub use subset::SubsetSampler;

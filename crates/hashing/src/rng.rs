@@ -144,6 +144,7 @@ impl SeedTree {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -156,6 +156,7 @@ impl SpaceUsage for GeometricSamplers {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -1,7 +1,7 @@
 //! Property tests for the hashing substrate: field axioms, hash family
 //! determinism, and sampler distributional sanity.
 
-use dsg_hash::{derive_seed, field, KWiseHash, NisanPrg, SeedTree, SubsetSampler};
+use dsg_hash::{derive_seed, field, KWiseHash, SeedTree, SubsetSampler};
 use proptest::prelude::*;
 
 fn felt() -> impl Strategy<Value = u64> {
@@ -83,13 +83,6 @@ proptest! {
         let s1 = SubsetSampler::new(seed, rate);
         let s2 = SubsetSampler::new(seed, rate);
         prop_assert_eq!(s1.contains(x), s2.contains(x));
-    }
-
-    #[test]
-    fn nisan_blocks_in_field_range(levels in 1u32..12, seed in any::<u64>(), frac in 0.0f64..1.0) {
-        let g = NisanPrg::new(levels, seed);
-        let idx = ((g.num_blocks() - 1) as f64 * frac) as u64;
-        prop_assert!(g.block(idx) < field::P);
     }
 }
 

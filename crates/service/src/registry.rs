@@ -295,7 +295,7 @@ impl ServedGraph {
         let frames: Vec<Vec<u8>> = forks
             .iter()
             .map(|fork| {
-                wire::attach_trace(dsg_sketch::LinearSketch::snapshot(fork), trace_id)
+                wire::attach_trace(dsg_sketch::LinearSketch::to_bytes(fork), trace_id)
                     .map_err(ServiceError::BadFrame)
             })
             .collect::<Result<_, _>>()?;

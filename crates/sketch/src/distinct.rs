@@ -447,6 +447,7 @@ impl LinearSketch for DistinctEstimator {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -32,6 +32,7 @@ impl fmt::Display for DecodeError {
 impl Error for DecodeError {}
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -465,6 +465,7 @@ impl SpaceUsage for LinearHashTable {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -417,6 +417,7 @@ impl LinearSketch for L0Sampler {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::collections::HashMap;

@@ -20,13 +20,8 @@
 //! * [`L0Sampler`] — samples a (near-)uniform nonzero coordinate of a
 //!   dynamic vector; the primitive behind AGM spanning-forest sketches.
 //! * [`DistinctEstimator`] — `(1±eps)` estimation of the number of distinct
-//!   (nonzero) coordinates (Theorem 9's role, after KNW10), used by the
-//!   paper as a decodability guard and as the degree estimator `d_u` in
-//!   Algorithm 3.
-//! * [`GuardedSketch`] — `SKETCH_B` bundled with the distinct-elements
-//!   decodability guard, exactly as described after Theorem 9.
-//! * [`CountSketch`] — the alternative frequency sketch the paper mentions
-//!   as a drop-in for Theorem 8.
+//!   (nonzero) coordinates (Theorem 9's role, after KNW10), the degree
+//!   estimator `d_u` in Algorithm 3.
 //!
 //! Every sketch is **linear**: it supports positive and negative updates,
 //! and [`merge`](LinearSketch::merge)ing the sketches of two vectors gives
@@ -54,22 +49,18 @@
 //! assert_eq!(support, vec![(97, 1), (98, 1), (99, 1)]);
 //! ```
 
-pub mod countsketch;
+#![deny(clippy::unwrap_used)]
+
 pub mod distinct;
 pub mod error;
-pub mod fingerprint;
-pub mod guarded;
 pub mod hashtable;
 pub mod l0;
 pub mod onesparse;
 pub mod ssparse;
 pub mod wire;
 
-pub use countsketch::CountSketch;
 pub use distinct::DistinctEstimator;
 pub use error::DecodeError;
-pub use fingerprint::VectorFingerprint;
-pub use guarded::GuardedSketch;
 pub use hashtable::LinearHashTable;
 pub use l0::L0Sampler;
 pub use onesparse::{OneSparseCell, OneSparseVerdict};
@@ -142,11 +133,4 @@ pub trait LinearSketch: SpaceUsage + Sized {
     /// Any [`WireError`]: corruption, truncation, version or kind
     /// mismatch, or a structurally invalid payload.
     fn from_bytes(bytes: &[u8]) -> Result<Self, WireError>;
-
-    /// The snapshot a shard ships to the coordinator (alias of
-    /// [`to_bytes`](LinearSketch::to_bytes), named after the protocol
-    /// step).
-    fn snapshot(&self) -> Vec<u8> {
-        self.to_bytes()
-    }
 }

@@ -222,6 +222,7 @@ pub(crate) fn mod_p(x: i128) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -479,6 +479,7 @@ impl LinearSketch for SparseRecovery {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -663,7 +664,7 @@ mod tests {
         let mut b = SparseRecovery::new(4, 5);
         a.update(1, 2);
         b.update(9, -7);
-        let mut shipped = SparseRecovery::from_bytes(&b.snapshot()).unwrap();
+        let mut shipped = SparseRecovery::from_bytes(&b.to_bytes()).unwrap();
         shipped.merge(&a);
         let mut direct = a.clone();
         direct.merge(&b);

@@ -46,12 +46,16 @@
 //! | 2 | [`crate::L0Sampler`] |
 //! | 3 | [`crate::DistinctEstimator`] |
 //! | 4 | [`crate::LinearHashTable`] |
-//! | 5 | [`crate::CountSketch`] |
-//! | 6 | [`crate::GuardedSketch`] |
-//! | 7 | [`crate::VectorFingerprint`] |
+//! | 5 | count-sketch (retired: no served path used it; every decoder rejects it with [`WireError::WrongKind`]) |
+//! | 6 | guarded sparse recovery (retired, as 5) |
+//! | 7 | vector fingerprint (retired, as 5) |
 //! | 8 | `dsg_agm::AgmSketch` (reserved here, implemented in `dsg-agm`) |
 //! | 9 | `dsg_store` checkpoint, legacy raw-log format (retired: carried the full O(stream) update log; readers reject it with a typed error) |
-//! | 10 | `dsg_store` checkpoint v2 (a frame *of* frames: per-shard snapshots plus the compacted net-edge segment and engine/WAL metadata; reserved here, implemented in `dsg-store`) |
+//! | 10 | `dsg_store` checkpoint v2 (retired: one global compacted segment beside shard frames in canonical factorization; readers reject it with a typed error) |
+//! | 11 | `dsg_store` checkpoint v3 (a frame *of* frames: per-shard sketch frames, each beside the compacted net-edge segment that shard owns, plus engine/WAL metadata; reserved here, implemented in `dsg-store`) |
+//!
+//! A retired tag is never reused: a stale frame must fail with a typed
+//! error, not decode as some newer sketch.
 
 /// Frame magic: identifies a dynamic-stream-graph wire snapshot.
 pub const MAGIC: [u8; 4] = *b"DSGW";
@@ -86,11 +90,17 @@ pub const KIND_L0_SAMPLER: u16 = 2;
 pub const KIND_DISTINCT: u16 = 3;
 /// Kind tag of [`crate::LinearHashTable`].
 pub const KIND_HASHTABLE: u16 = 4;
-/// Kind tag of [`crate::CountSketch`].
+/// Kind tag of the **retired** count-sketch. No served path, experiment
+/// or benchmark used it and the type is gone; the tag stays reserved so it
+/// is never reused, and every decoder rejects such frames with
+/// [`WireError::WrongKind`].
 pub const KIND_COUNTSKETCH: u16 = 5;
-/// Kind tag of [`crate::GuardedSketch`].
+/// Kind tag of the **retired** guarded sparse-recovery sketch (`SKETCH_B`
+/// plus a distinct-elements decodability guard). Reserved and rejected as
+/// [`KIND_COUNTSKETCH`] is.
 pub const KIND_GUARDED: u16 = 6;
-/// Kind tag of [`crate::VectorFingerprint`].
+/// Kind tag of the **retired** vector fingerprint. Reserved and rejected
+/// as [`KIND_COUNTSKETCH`] is.
 pub const KIND_FINGERPRINT: u16 = 7;
 /// Kind tag of `dsg_agm::AgmSketch` (reserved; the impl lives in dsg-agm).
 pub const KIND_AGM: u16 = 8;
@@ -472,6 +482,7 @@ pub fn put_block(out: &mut Vec<u8>, block: &[u8]) {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -499,45 +510,45 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let mut frame = finish_frame(KIND_COUNTSKETCH, vec![9u8; 32]);
+        let mut frame = finish_frame(KIND_DISTINCT, vec![9u8; 32]);
         let last = frame.len() - 1;
         frame[last] ^= 0xFF;
         assert!(matches!(
-            open_frame(KIND_COUNTSKETCH, &frame),
+            open_frame(KIND_DISTINCT, &frame),
             Err(WireError::BadChecksum)
         ));
     }
 
     #[test]
     fn truncation_detected() {
-        let frame = finish_frame(KIND_COUNTSKETCH, vec![9u8; 32]);
+        let frame = finish_frame(KIND_DISTINCT, vec![9u8; 32]);
         assert!(matches!(
-            open_frame(KIND_COUNTSKETCH, &frame[..frame.len() - 3]),
+            open_frame(KIND_DISTINCT, &frame[..frame.len() - 3]),
             Err(WireError::Truncated)
         ));
         assert!(matches!(
-            open_frame(KIND_COUNTSKETCH, &frame[..10]),
+            open_frame(KIND_DISTINCT, &frame[..10]),
             Err(WireError::Truncated)
         ));
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut frame = finish_frame(KIND_COUNTSKETCH, vec![]);
+        let mut frame = finish_frame(KIND_DISTINCT, vec![]);
         frame[0] = b'X';
         assert!(matches!(
-            open_frame(KIND_COUNTSKETCH, &frame),
+            open_frame(KIND_DISTINCT, &frame),
             Err(WireError::BadMagic)
         ));
     }
 
     #[test]
     fn future_version_rejected() {
-        let mut frame = finish_frame(KIND_COUNTSKETCH, vec![]);
+        let mut frame = finish_frame(KIND_DISTINCT, vec![]);
         frame[4] = 0xFE;
         frame[5] = 0xFF;
         assert!(matches!(
-            open_frame(KIND_COUNTSKETCH, &frame),
+            open_frame(KIND_DISTINCT, &frame),
             Err(WireError::BadVersion(_))
         ));
     }
@@ -561,9 +572,9 @@ mod tests {
 
     #[test]
     fn peek_reads_header_without_decoding() {
-        let frame = finish_frame(KIND_GUARDED, vec![1, 2, 3]);
+        let frame = finish_frame(KIND_HASHTABLE, vec![1, 2, 3]);
         let h = peek_kind(&frame).unwrap();
-        assert_eq!(h.kind, KIND_GUARDED);
+        assert_eq!(h.kind, KIND_HASHTABLE);
         assert_eq!(h.version, VERSION);
         assert_eq!(h.payload_len, 3);
         // A corrupt payload is invisible to the peek (and that's the
@@ -589,17 +600,17 @@ mod tests {
     #[test]
     fn traced_frame_roundtrips_and_decodes_identically() {
         let payload = vec![1u8, 2, 3, 4, 5];
-        let traced = finish_frame_traced(KIND_GUARDED, payload.clone(), 0xDEAD_BEEF);
+        let traced = finish_frame_traced(KIND_HASHTABLE, payload.clone(), 0xDEAD_BEEF);
         assert_eq!(peek_kind(&traced).unwrap().version, VERSION_TRACED);
         assert_eq!(frame_trace_id(&traced).unwrap(), Some(0xDEAD_BEEF));
-        let mut r = open_frame(KIND_GUARDED, &traced).unwrap();
+        let mut r = open_frame(KIND_HASHTABLE, &traced).unwrap();
         assert_eq!(r.take(5).unwrap(), &payload[..]);
         r.expect_end().unwrap();
     }
 
     #[test]
     fn attach_trace_upgrades_v1_frames() {
-        let plain = finish_frame(KIND_COUNTSKETCH, vec![7u8; 16]);
+        let plain = finish_frame(KIND_DISTINCT, vec![7u8; 16]);
         assert_eq!(frame_trace_id(&plain).unwrap(), None);
         let traced = attach_trace(plain.clone(), 42).unwrap();
         assert_eq!(traced.len(), plain.len() + TRAILER_BYTES);
@@ -607,14 +618,14 @@ mod tests {
         // Same bytes as building traced from scratch.
         assert_eq!(
             traced,
-            finish_frame_traced(KIND_COUNTSKETCH, vec![7u8; 16], 42)
+            finish_frame_traced(KIND_DISTINCT, vec![7u8; 16], 42)
         );
         // Re-attaching overwrites the id without growing the frame.
         let retraced = attach_trace(traced, 99).unwrap();
         assert_eq!(retraced.len(), plain.len() + TRAILER_BYTES);
         assert_eq!(frame_trace_id(&retraced).unwrap(), Some(99));
         // The payload decodes identically either way.
-        let mut r = open_frame(KIND_COUNTSKETCH, &retraced).unwrap();
+        let mut r = open_frame(KIND_DISTINCT, &retraced).unwrap();
         assert_eq!(r.take(16).unwrap(), &[7u8; 16][..]);
         r.expect_end().unwrap();
     }
@@ -649,7 +660,7 @@ mod tests {
 
     #[test]
     fn frame_trace_id_rejects_unknown_versions() {
-        let mut frame = finish_frame(KIND_GUARDED, vec![]);
+        let mut frame = finish_frame(KIND_HASHTABLE, vec![]);
         frame[4] = 0x09;
         assert!(matches!(
             frame_trace_id(&frame),

@@ -2,10 +2,7 @@
 //! every sketch: `sketch(x) + sketch(y) == sketch(x + y)` bit-for-bit, and
 //! decode inverts sketch on within-budget supports.
 
-use dsg_sketch::{
-    CountSketch, DistinctEstimator, L0Sampler, LinearHashTable, LinearSketch, SparseRecovery,
-    VectorFingerprint,
-};
+use dsg_sketch::{DistinctEstimator, L0Sampler, LinearHashTable, LinearSketch, SparseRecovery};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -117,37 +114,6 @@ proptest! {
                 // Allowed whp-failure; must only happen on nonzero vectors.
                 prop_assert!(!model.is_empty());
             }
-        }
-    }
-
-    #[test]
-    fn fingerprint_agrees_iff_vectors_equal(xs in updates(), ys in updates(), seed in 0u64..1000) {
-        let mut a = VectorFingerprint::new(seed);
-        let mut b = VectorFingerprint::new(seed);
-        for &(k, v) in &xs {
-            a.update(k, v as i128);
-        }
-        for &(k, v) in &ys {
-            b.update(k, v as i128);
-        }
-        if apply(&xs) == apply(&ys) {
-            prop_assert_eq!(a.value(), b.value());
-        } else {
-            // 1/p false-positive chance: astronomically unlikely to trip.
-            prop_assert_ne!(a.value(), b.value());
-        }
-    }
-
-    #[test]
-    fn countsketch_exact_on_small_supports(xs in prop::collection::vec((0u64..8, -5i64..=5), 0..20), seed in 0u64..1000) {
-        // 8 possible keys in 256 buckets: queries are exact whp.
-        let mut cs = CountSketch::new(5, 256, seed);
-        for &(k, v) in &xs {
-            cs.update(k, v as i128);
-        }
-        let model = apply(&xs);
-        for k in 0u64..8 {
-            prop_assert_eq!(cs.query(k), model.get(&k).copied().unwrap_or(0));
         }
     }
 

@@ -1,5 +1,5 @@
-//! Property tests for the `LinearSketch` contract across every
-//! implementor in this crate:
+//! Property tests for the `LinearSketch` contract across the four
+//! implementors in this crate:
 //!
 //! * **shard-split invariance** — any K-way partition of an update
 //!   stream, sketched per-shard under the shared seed and merged, is
@@ -10,12 +10,11 @@
 //! * **header peek** — `wire::peek_kind` reads the kind/version/length
 //!   of any snapshot without decoding it.
 //!
-//! `AgmSketch`, the eighth implementor, is covered by the same properties
+//! `AgmSketch`, the fifth implementor, is covered by the same properties
 //! in `crates/agm/tests/wire_props.rs`.
 
 use dsg_sketch::{
-    wire, CountSketch, DistinctEstimator, GuardedSketch, L0Sampler, LinearHashTable, LinearSketch,
-    SparseRecovery, VectorFingerprint,
+    wire, DistinctEstimator, L0Sampler, LinearHashTable, LinearSketch, SparseRecovery,
 };
 use proptest::prelude::*;
 
@@ -72,7 +71,7 @@ fn check_roundtrip<S: LinearSketch>(mut sketch: S, extra: &[(u64, i64)]) {
 /// `WIRE_KIND`, the current format version, and the exact payload length —
 /// the header-only routing contract a snapshot registry relies on.
 fn check_peek_kind<S: LinearSketch>(sketch: &S) {
-    let snap = sketch.snapshot();
+    let snap = sketch.to_bytes();
     let header = wire::peek_kind(&snap).expect("snapshot frames always peek");
     assert_eq!(header.kind, S::WIRE_KIND, "kind tag mismatch");
     assert_eq!(header.version, wire::VERSION, "version mismatch");
@@ -141,27 +140,6 @@ sketch_properties!(
     hashtable_roundtrip,
     hashtable_peek_kind,
     |seed| { LinearHashTable::new(32, 2, seed) }
-);
-
-sketch_properties!(
-    countsketch_shard_split,
-    countsketch_roundtrip,
-    countsketch_peek_kind,
-    |seed| { CountSketch::new(3, 32, seed) }
-);
-
-sketch_properties!(
-    guarded_shard_split,
-    guarded_roundtrip,
-    guarded_peek_kind,
-    |seed| { GuardedSketch::new(8, 6, seed) }
-);
-
-sketch_properties!(
-    fingerprint_shard_split,
-    fingerprint_roundtrip,
-    fingerprint_peek_kind,
-    |seed| { VectorFingerprint::new(seed) }
 );
 
 proptest! {

@@ -11,9 +11,8 @@
 //!   0) and the `Z` rounds are averaged (Algorithm 6).
 //!
 //! The sampler filters are evaluated from hashes (Section 6.3's
-//! derandomization note: a Nisan-style generator or `O(log n)`-wise
-//! independence replaces the `Ω(n^2)` perfect random bits; see
-//! `dsg_hash::nisan`).
+//! derandomization note: `O(log n)`-wise independence replaces the
+//! `Ω(n^2)` perfect random bits; see `DESIGN.md`, "Derandomization").
 
 use crate::estimate::{ConnectivityEstimator, NestedSamplers};
 use crate::kp12::SparsifierParams;

@@ -129,7 +129,7 @@ fn encode(cp: &Checkpoint) -> Vec<u8> {
             wire::put_u32(&mut payload, e.multiplicity);
             wire::put_u64(&mut payload, e.weight.to_bits());
         }
-        wire::put_block(&mut payload, &shard.sketch.snapshot());
+        wire::put_block(&mut payload, &shard.sketch.to_bytes());
     }
     wire::finish_frame(wire::KIND_CHECKPOINT_V3, payload)
 }

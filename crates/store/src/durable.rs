@@ -4,7 +4,7 @@
 //! The layering is WAL-ahead, checkpoint-behind:
 //!
 //! * **`apply` / `advance_epoch`** first append a record to the tenant's
-//!   [`Wal`] (durable per the [`SyncPolicy`](crate::SyncPolicy)), then
+//!   [`Wal`] (durable per the [`SyncPolicy`]), then
 //!   apply the same operation to the in-memory [`ServedGraph`]. The WAL
 //!   is therefore always *ahead of or equal to* memory, and replaying it
 //!   can only re-create operations that were acknowledged (or were about

@@ -83,7 +83,7 @@ fn main() {
         stream.len(),
         dsg_util::space::human_bytes(shipped),
         long_stream.len(),
-        dsg_util::space::human_bytes(long_shard.snapshot().len()),
+        dsg_util::space::human_bytes(long_shard.to_bytes().len()),
     );
     println!("(snapshot size tracks the graph, not the stream length)");
 

@@ -1,11 +1,9 @@
 //! Integration tests for the extension APIs: spanner-backed distance
-//! oracles (the KP12 contract), approximate MSF from AGM sketches, the
-//! weighted sparsifier, and the JL resistance estimator — each driven
-//! through the public crate APIs on streamed inputs.
+//! oracles (the KP12 contract), the weighted sparsifier, and the JL
+//! resistance estimator — each driven through the public crate APIs on
+//! streamed inputs.
 
-use dsg_agm::MsfSketch;
 use dsg_core::prelude::*;
-use dsg_graph::mst;
 use dsg_spanner::oracle::DistanceOracle;
 use dsg_sparsifier::resistance::{self, ResistanceEstimator};
 
@@ -38,31 +36,6 @@ fn oracle_from_streamed_spanner_satisfies_kp12_contract() {
             }
         }
     }
-}
-
-#[test]
-fn msf_sketch_on_weighted_stream() {
-    let g = gen::with_random_weights(&gen::erdos_renyi(36, 0.25, 4), 1.0, 16.0, 5);
-    let stream = GraphStream::weighted_with_churn(&g, 1.0, 6);
-    let gamma = 0.25;
-    let (lo, hi) = g.weight_range().unwrap();
-    let mut sk = MsfSketch::new(36, gamma, lo, hi, 7);
-    for up in stream.updates() {
-        sk.update(up.edge, up.weight, up.delta as i128);
-    }
-    let approx = sk.forest();
-    let (_, exact_weight) = mst::minimum_spanning_forest(&g);
-    let approx_weight: f64 = approx.iter().map(|(_, w)| w).sum();
-    assert!(
-        approx_weight <= exact_weight * (1.0 + gamma) + 1e-9,
-        "approx {approx_weight} vs exact {exact_weight}"
-    );
-    // Spanning: same component count as the input.
-    let skeleton = Graph::from_edges(36, approx.iter().map(|(e, _)| *e));
-    assert_eq!(
-        dsg_graph::components::num_components(&skeleton),
-        dsg_graph::components::num_components(&g.skeleton())
-    );
 }
 
 #[test]
@@ -107,23 +80,4 @@ fn jl_resistances_feed_ss08_style_sampling() {
     let exact = resistance::effective_resistance(&l, 0, 1);
     let approx = est.estimate(0, 1);
     assert!((approx / exact - 1.0).abs() < 0.5);
-}
-
-#[test]
-fn k_connectivity_and_msf_share_one_stream() {
-    // Two different sketch structures consuming the same dynamic stream —
-    // the composability the linear-sketching model promises.
-    let g = gen::with_random_weights(&gen::complete(12), 1.0, 2.0, 13);
-    let stream = GraphStream::weighted_with_churn(&g, 1.0, 14);
-    let mut kconn = dsg_agm::KConnectivitySketch::new(12, 2, 15);
-    let (lo, hi) = g.weight_range().unwrap();
-    let mut msf = MsfSketch::new(12, 0.5, lo, hi, 16);
-    for up in stream.updates() {
-        kconn.update(up.edge, up.delta as i128);
-        msf.update(up.edge, up.weight, up.delta as i128);
-    }
-    let cert = kconn.certificate();
-    assert!(!cert.is_empty());
-    let forest = msf.forest();
-    assert_eq!(forest.len(), 11);
 }
