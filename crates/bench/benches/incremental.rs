@@ -1,13 +1,14 @@
 //! Patch-vs-rebuild microbenchmarks for the incremental epoch artifacts
 //! (E26's criterion counterpart): for each artifact — spanning forest,
-//! distance oracle, KP12 cut data — one tenant whose `churn_threshold`
-//! always admits the O(changes) patch against one that always rebuilds
-//! from the sealed segment, at 1%, 10%, and 50% churn per epoch.
+//! distance oracle, KP12 cut data — a tenant that builds the artifact
+//! every epoch, so each epoch patches it from its predecessor, against
+//! one that seals an unbuilt epoch first, so each build has no
+//! predecessor to patch from and rebuilds from the sealed segment, at
+//! 1%, 10%, and 50% churn per epoch.
 //!
 //! Both paths produce bit-identical artifacts (the property suites in
 //! `dsg-spanner`, `dsg-sparsifier`, and `crates/service/tests/net_props.rs`
-//! pin that down); these benches measure only the refresh latency gap the
-//! threshold trades on.
+//! pin that down); these benches measure only the refresh latency gap.
 //!
 //! Next to them, the two stages of the epoch advance itself on an
 //! n = 2000, m = 8000 sketch pair: `agm_fork` (a shard fork — pointer
@@ -40,8 +41,8 @@ fn toggle_edges(g: &Graph, k: usize) -> Vec<Edge> {
 
 /// One artifact's patch-vs-rebuild pair across churn levels. Each bench
 /// iteration applies the toggle batch, seals an epoch, and builds just
-/// the artifact under test; `threshold` decides which refresh path the
-/// epoch builder takes.
+/// the artifact under test; on the rebuild side the toggle epoch is
+/// sealed unbuilt and an empty epoch after it is built instead.
 fn bench_artifact(c: &mut Criterion, name: &str, n: usize, p: f64, build: fn(&EpochSnapshot)) {
     let g = gen::erdos_renyi(n, p, 31);
     let live = g.num_edges();
@@ -49,11 +50,11 @@ fn bench_artifact(c: &mut Criterion, name: &str, n: usize, p: f64, build: fn(&Ep
     group.sample_size(10);
     for frac in [0.01f64, 0.10, 0.50] {
         let toggles = toggle_edges(&g, ((live as f64 * frac) as usize).max(1));
-        for (mode, threshold) in [("patch", 1.0e6), ("rebuild", 0.0)] {
+        for (mode, rebuild) in [("patch", false), ("rebuild", true)] {
             let id = BenchmarkId::new(mode, format!("churn_{:.0}pct", frac * 100.0));
-            group.bench_with_input(id, &threshold, |b, &threshold| {
+            group.bench_with_input(id, &rebuild, |b, &rebuild| {
                 let registry = GraphRegistry::new();
-                let config = GraphConfig::new(n).seed(7).churn_threshold(threshold);
+                let config = GraphConfig::new(n).seed(7);
                 let tenant = registry.create("t", config).expect("fresh registry");
                 tenant
                     .apply(GraphStream::insert_only(&g, 32).updates())
@@ -73,6 +74,9 @@ fn bench_artifact(c: &mut Criterion, name: &str, n: usize, p: f64, build: fn(&Ep
                         .collect();
                     on = !on;
                     tenant.apply(&batch).expect("valid batch");
+                    if rebuild {
+                        tenant.advance_epoch();
+                    }
                     build(black_box(&tenant.advance_epoch()));
                 });
             });

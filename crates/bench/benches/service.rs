@@ -184,7 +184,7 @@ fn bench_artifact_rebuild(c: &mut Criterion) {
             // on first use, timed in isolation (the OnceLock itself only
             // builds once per epoch, so it cannot be iterated directly).
             b.iter(|| {
-                black_box(dsg_spanner::twopass::run_two_pass_net(
+                black_box(dsg_spanner::TwoPassSpanner::build(
                     epoch.net_edges().as_ref(),
                     config.oracle_params(),
                 ))

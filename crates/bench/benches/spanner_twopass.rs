@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsg_graph::{gen, GraphStream, StreamAlgorithm};
-use dsg_spanner::{twopass, SpannerParams, TwoPassSpanner};
+use dsg_spanner::{SpannerParams, TwoPassSpanner};
 use std::hint::black_box;
 
 fn bench_pass1_update(c: &mut Criterion) {
@@ -34,8 +34,8 @@ fn bench_full_run(c: &mut Criterion) {
             &(n, k),
             |b, &(n, k)| {
                 let g = gen::erdos_renyi(n, 10.0 / n as f64, 6);
-                let stream = GraphStream::with_churn(&g, 1.0, 7);
-                b.iter(|| black_box(twopass::run_two_pass(&stream, SpannerParams::new(k, 8))));
+                let net = GraphStream::with_churn(&g, 1.0, 7).net_multiset();
+                b.iter(|| black_box(TwoPassSpanner::build(&net, SpannerParams::new(k, 8))));
             },
         );
     }

@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsg_graph::{gen, GraphStream};
-use dsg_sparsifier::pipeline::run_sparsifier;
-use dsg_sparsifier::{resistance, spectral, Laplacian, SparsifierParams};
+use dsg_sparsifier::{resistance, spectral, Laplacian, SparsifierParams, TwoPassSparsifier};
 use std::hint::black_box;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -12,11 +11,11 @@ fn bench_pipeline(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("k24_clique", |b| {
         let g = gen::complete(24);
-        let stream = GraphStream::insert_only(&g, 1);
+        let net = GraphStream::insert_only(&g, 1).net_multiset();
         let mut params = SparsifierParams::new(2, 0.5, 2);
         params.z_factor = 0.03;
         params.j_factor = 0.4;
-        b.iter(|| black_box(run_sparsifier(&stream, params)));
+        b.iter(|| black_box(TwoPassSparsifier::build(&net, params)));
     });
     group.finish();
 }

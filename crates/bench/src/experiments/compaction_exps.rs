@@ -13,7 +13,7 @@ use crate::Scale;
 use dsg_graph::{gen, GraphStream, Vertex};
 use dsg_service::{GraphConfig, GraphRegistry};
 use dsg_spanner::oracle::DistanceOracle;
-use dsg_spanner::twopass;
+use dsg_spanner::TwoPassSpanner;
 use dsg_store::{DurableRegistry, ScratchDir, StoreOptions};
 use dsg_util::Table;
 use std::time::Instant;
@@ -61,7 +61,9 @@ pub fn compaction(scale: Scale) {
         // (and the reference the compacted answers must match, bit for
         // bit).
         let t0 = Instant::now();
-        let raw = twopass::run_two_pass(&stream, config.oracle_params());
+        let mut alg = TwoPassSpanner::new(n, config.oracle_params());
+        dsg_graph::pass::run(&mut alg, &stream);
+        let raw = alg.into_output().expect("both passes ran");
         let raw_ms = t0.elapsed().as_secs_f64() * 1e3;
         let raw_oracle = DistanceOracle::new(raw.spanner, 1 << config.spanner_k);
         for i in 0..(n as Vertex) {
@@ -166,7 +168,9 @@ pub fn compaction(scale: Scale) {
         let served_cut = epoch.cut_data();
         let net_s = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let raw = dsg_sparsifier::pipeline::run_sparsifier(&stream, config.cut_params());
+        let mut alg = dsg_sparsifier::TwoPassSparsifier::new(n, config.cut_params());
+        dsg_graph::pass::run(&mut alg, &stream);
+        let raw = alg.into_output().expect("both passes ran");
         let raw_s = t0.elapsed().as_secs_f64();
         assert_eq!(served_cut.sparsifier_edges, raw.sparsifier.num_edges());
         let raw_lap = dsg_sparsifier::Laplacian::from_weighted(&raw.sparsifier);

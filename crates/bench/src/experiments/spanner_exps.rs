@@ -5,7 +5,7 @@
 use crate::Scale;
 use dsg_graph::{gen, Graph, GraphStream};
 use dsg_spanner::cluster::NodeId;
-use dsg_spanner::{baswana_sen, offline, twopass, verify, SpannerParams};
+use dsg_spanner::{baswana_sen, offline, twopass, verify, SpannerParams, TwoPassSpanner};
 use dsg_util::{space::human_bytes, Table};
 use std::collections::HashSet;
 
@@ -17,9 +17,17 @@ fn dense_input(n: usize, seed: u64) -> Graph {
     gen::gnm(n, m, seed)
 }
 
+/// Both passes over the net effect of `stream` (bit-identical to
+/// replaying it, space figures included).
+fn build(stream: &GraphStream, params: SpannerParams) -> twopass::TwoPassOutput {
+    TwoPassSpanner::build(&stream.net_multiset(), params)
+        .into_output()
+        .expect("both passes ran")
+}
+
 fn run_spanner(g: &Graph, k: usize, seed: u64) -> twopass::TwoPassOutput {
     let stream = GraphStream::with_churn(g, 1.0, seed ^ 0xC0FFEE);
-    twopass::run_two_pass(&stream, SpannerParams::new(k, seed))
+    build(&stream, SpannerParams::new(k, seed))
 }
 
 /// E1 (Lemma 12): spanner size vs the `O(k n^{1+1/k} log n)` bound.
@@ -297,7 +305,7 @@ pub fn ablation_budget(scale: Scale) {
     for budget in [2usize, 4, 8, 16] {
         let params = SpannerParams::new(2, 1000 + budget as u64).with_sketch_budget(budget);
         let stream = GraphStream::with_churn(&g, 1.0, 41);
-        let out = twopass::run_two_pass(&stream, params);
+        let out = build(&stream, params);
         let stretch = verify::max_multiplicative_stretch(&g, &out.spanner, n.min(64));
         t.add_row(&[
             budget.to_string(),
@@ -321,7 +329,7 @@ pub fn ablation_levels(scale: Scale) {
     for levels in [3usize, 6, 10, full_levels] {
         let params = SpannerParams::new(2, 1100 + levels as u64).with_max_edge_levels(levels);
         let stream = GraphStream::with_churn(&g, 1.0, 47);
-        let out = twopass::run_two_pass(&stream, params);
+        let out = build(&stream, params);
         let stretch = verify::max_multiplicative_stretch(&g, &out.spanner, n.min(64));
         t.add_row(&[
             levels.to_string(),

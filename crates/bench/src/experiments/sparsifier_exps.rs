@@ -5,8 +5,9 @@ use crate::Scale;
 use dsg_graph::{gen, GraphStream};
 use dsg_sparsifier::estimate::{ConnectivityEstimator, EstimateParams, NestedSamplers};
 use dsg_sparsifier::kp12::measure_quality;
-use dsg_sparsifier::pipeline::run_sparsifier;
-use dsg_sparsifier::{cut, resistance, spectral, ss08, Laplacian, SparsifierParams};
+use dsg_sparsifier::{
+    cut, resistance, spectral, ss08, Laplacian, SparsifierParams, TwoPassSparsifier,
+};
 use dsg_util::{space::human_bytes, Table};
 
 /// E8 (Corollary 2): exact spectral eps of the two-pass streaming
@@ -33,8 +34,10 @@ pub fn sparsifier(scale: Scale) {
         let mut params = SparsifierParams::new(2, 0.5, 77);
         params.z_factor = z_factor;
         params.j_factor = 0.4;
-        let stream = GraphStream::with_churn(&g, 0.5, 83);
-        let out = run_sparsifier(&stream, params);
+        let net = GraphStream::with_churn(&g, 0.5, 83).net_multiset();
+        let out = TwoPassSparsifier::build(&net, params)
+            .into_output()
+            .expect("both passes ran");
         let q = measure_quality(&g, &out.sparsifier);
         let cut_dev = cut::max_cut_deviation(
             &Laplacian::from_graph(&g),

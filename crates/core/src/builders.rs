@@ -65,16 +65,17 @@ impl SpannerBuilder {
         self
     }
 
-    /// Runs the two passes over `stream` and returns the output.
+    /// Runs the two passes over the net effect of `stream` and returns
+    /// the output (bit-identical to replaying `stream` itself).
     ///
     /// # Panics
     ///
     /// Panics if the stream's vertex count differs from the builder's.
     pub fn build_from_stream(&self, stream: &GraphStream) -> TwoPassOutput {
         assert_eq!(stream.num_vertices(), self.n, "vertex count mismatch");
-        let mut alg = TwoPassSpanner::new(self.n, self.params);
-        pass::run(&mut alg, stream);
-        alg.into_output().expect("both passes completed")
+        TwoPassSpanner::build(&stream.net_multiset(), self.params)
+            .into_output()
+            .expect("both passes ran")
     }
 
     /// Runs the weighted variant (Remark 14) with rounding parameter
@@ -216,16 +217,17 @@ impl SparsifierBuilder {
         self
     }
 
-    /// Runs the two passes over `stream` and returns the output.
+    /// Runs the two passes over the net effect of `stream` and returns
+    /// the output (bit-identical to replaying `stream` itself).
     ///
     /// # Panics
     ///
     /// Panics if the stream's vertex count differs from the builder's.
     pub fn build_from_stream(&self, stream: &GraphStream) -> PipelineOutput {
         assert_eq!(stream.num_vertices(), self.n, "vertex count mismatch");
-        let mut alg = TwoPassSparsifier::new(self.n, self.params);
-        pass::run(&mut alg, stream);
-        alg.into_output().expect("both passes completed")
+        TwoPassSparsifier::build(&stream.net_multiset(), self.params)
+            .into_output()
+            .expect("both passes ran")
     }
 }
 

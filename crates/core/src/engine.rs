@@ -1,24 +1,17 @@
 //! The end-to-end sharded ingest driver: stream → `dsg-engine` → query.
 //!
-//! [`EngineBuilder`] wires the generic sharded engine to the paper's three
-//! query families:
+//! [`EngineBuilder`] wires the generic sharded engine to the spanning
+//! forest query: each shard ingests into an [`AgmSketch`] under the
+//! shared seed, and the coordinator merge-tree-reduces the shard sketches
+//! (optionally through their wire snapshots) and runs Borůvka
+//! (Theorem 10).
 //!
-//! * **spanning forest** — each shard ingests into an [`AgmSketch`] under
-//!   the shared seed; the coordinator merge-tree-reduces the shard
-//!   sketches (optionally through their wire snapshots) and runs Borůvka
-//!   (Theorem 10);
-//! * **two-pass `2^k`-spanner** — each of the two passes is sharded: the
-//!   pass-local state of [`TwoPassSpanner`] is a linear function of the
-//!   updates, so shards ingest stream slices and the coordinator merges
-//!   with [`TwoPassSpanner::merge_pass_state`], then runs the between-pass
-//!   computation (cluster construction, spanner assembly) exactly once;
-//! * **KP12 sparsifier** — identically, through
-//!   [`TwoPassSparsifier::merge_pass_state`].
-//!
-//! Because every shard-side object is linear and the coordinator-side
-//! decoding is deterministic, the sharded run answers **bit-identically**
-//! to a single-threaded run over the same stream — asserted end to end in
-//! `tests/integration_engine.rs`.
+//! Because every shard sketch is linear and the coordinator's decode is
+//! deterministic, the sharded run answers **bit-identically** to a
+//! single-threaded run over the same stream — asserted end to end in
+//! `tests/integration_engine.rs`. The two-pass spanner and sparsifier are
+//! not sharded: they are built on one thread from a net edge multiset
+//! (`TwoPassSpanner::build`, `TwoPassSparsifier::build`).
 
 pub use dsg_engine::{
     merge_tree, reduce_snapshots, EdgeUpdate, EngineConfig, EngineRun, EngineSketch, ShardedEngine,
@@ -26,64 +19,7 @@ pub use dsg_engine::{
 
 use dsg_agm::forest::ForestResult;
 use dsg_agm::AgmSketch;
-use dsg_graph::stream::StreamUpdate;
-use dsg_graph::{index_to_pair, Edge, GraphStream, StreamAlgorithm};
-use dsg_spanner::twopass::TwoPassOutput;
-use dsg_spanner::{SpannerParams, TwoPassSpanner};
-use dsg_sparsifier::pipeline::PipelineOutput;
-use dsg_sparsifier::{SparsifierParams, TwoPassSparsifier};
-
-/// A pass-structured stream algorithm whose *per-pass* ingest state is
-/// linear and mergeable — the property that lets each pass be sharded.
-pub trait PassMergeable: StreamAlgorithm + Clone + Send + 'static {
-    /// Adds `other`'s pass-local linear state (same params, same pass).
-    fn merge_pass_state(&mut self, other: &Self);
-}
-
-impl PassMergeable for TwoPassSpanner {
-    fn merge_pass_state(&mut self, other: &Self) {
-        TwoPassSpanner::merge_pass_state(self, other);
-    }
-}
-
-impl PassMergeable for TwoPassSparsifier {
-    fn merge_pass_state(&mut self, other: &Self) {
-        TwoPassSparsifier::merge_pass_state(self, other);
-    }
-}
-
-/// An engine shard wrapping one pass of a [`PassMergeable`] algorithm:
-/// coordinate-keyed engine updates are rehydrated into stream updates and
-/// fed to `process`.
-struct PassShard<A: PassMergeable> {
-    alg: A,
-    n: usize,
-}
-
-impl<A: PassMergeable> EngineSketch for PassShard<A> {
-    fn apply_batch(&mut self, batch: &[EdgeUpdate]) {
-        for up in batch {
-            debug_assert!(up.delta == 1 || up.delta == -1, "graph streams are ±1");
-            let (u, v) = index_to_pair(up.key, self.n);
-            self.alg.process(&StreamUpdate {
-                edge: Edge::new(u, v),
-                delta: if up.delta >= 0 { 1 } else { -1 },
-                weight: 1.0,
-            });
-        }
-    }
-
-    fn absorb(&mut self, other: Self) {
-        self.alg.merge_pass_state(&other.alg);
-    }
-
-    fn fork(&self) -> Self {
-        Self {
-            alg: self.alg.clone(),
-            n: self.n,
-        }
-    }
-}
+use dsg_graph::GraphStream;
 
 /// Builder for sharded end-to-end runs.
 ///
@@ -146,26 +82,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of vertices the builder is configured for.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Configured shard (worker thread) count.
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Configured updates-per-batch granularity.
-    pub fn updates_per_batch(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Configured shared root seed.
-    pub fn root_seed(&self) -> u64 {
-        self.seed
-    }
-
     fn config(&self) -> EngineConfig {
         EngineConfig::new(self.shards).batch_size(self.batch_size)
     }
@@ -201,37 +117,6 @@ impl EngineBuilder {
         self.ingest_merged(stream, |_| AgmSketch::new(n, seed))
     }
 
-    /// Sharded AGM ingest of a **net edge multiset**: each net edge is
-    /// one engine update carrying its whole multiplicity (the engine's
-    /// deltas are `i128`, so a compacted segment needs no re-expansion).
-    /// By linearity the merged sketch is bit-identical to
-    /// [`agm_sketch`](EngineBuilder::agm_sketch) over any raw stream with
-    /// the same net effect — the warm-start path a server takes when it
-    /// rebuilds ingest state from a compacted checkpoint segment.
-    pub fn agm_sketch_net<M>(&self, net: &M) -> AgmSketch
-    where
-        M: dsg_graph::EdgeMultiset + ?Sized,
-    {
-        assert_eq!(net.num_vertices(), self.n, "vertex count mismatch");
-        let (n, seed) = (self.n, self.seed);
-        let mut engine = ShardedEngine::start(self.config(), |_| AgmSketch::new(n, seed));
-        net.for_each_net_edge(&mut |e| {
-            engine.push(EdgeUpdate::new(e.edge.index(n), e.multiplicity as i128));
-        });
-        engine
-            .finish()
-            .merged()
-            .expect("engine has at least one shard")
-    }
-
-    /// Sharded net-multiset ingest → merged sketch → spanning forest.
-    pub fn spanning_forest_net<M>(&self, net: &M) -> ForestResult
-    where
-        M: dsg_graph::EdgeMultiset + ?Sized,
-    {
-        self.agm_sketch_net(net).spanning_forest()
-    }
-
     /// Sharded AGM ingest that ships **wire snapshots** shard→coordinator
     /// (serialize, checksum-verify, deserialize, merge-tree) — the path a
     /// real multi-server deployment exercises. Answers identically to
@@ -248,48 +133,6 @@ impl EngineBuilder {
             .expect("shard snapshots decode")
             .expect("engine has at least one shard");
         merged.spanning_forest()
-    }
-
-    /// Drives a [`PassMergeable`] algorithm over `stream`, sharding the
-    /// ingest of every pass and running the between-pass computation once
-    /// on the coordinator.
-    pub fn run_sharded_passes<A: PassMergeable>(&self, mut alg: A, stream: &GraphStream) -> A {
-        assert_eq!(stream.num_vertices(), self.n, "vertex count mismatch");
-        let n = self.n;
-        for pass in 0..alg.num_passes() {
-            alg.begin_pass(pass);
-            // Shards are clones of the coordinator taken after
-            // `begin_pass`: they carry the shared randomness and (for
-            // pass 2) the broadcast clustering, with empty pass state.
-            let mut engine = ShardedEngine::start(self.config(), |_| PassShard {
-                alg: alg.clone(),
-                n,
-            });
-            for up in stream.updates() {
-                engine.push(EdgeUpdate::new(up.edge.index(n), up.delta as i128));
-            }
-            for shard in engine.finish().shards {
-                alg.merge_pass_state(&shard.alg);
-            }
-            alg.end_pass(pass);
-        }
-        alg
-    }
-
-    /// Sharded two-pass `2^k`-spanner (Theorem 1).
-    pub fn spanner(&self, stream: &GraphStream, params: SpannerParams) -> TwoPassOutput {
-        let alg = TwoPassSpanner::new(self.n, params);
-        self.run_sharded_passes(alg, stream)
-            .into_output()
-            .expect("both passes completed")
-    }
-
-    /// Sharded two-pass KP12 spectral sparsifier (Corollary 2).
-    pub fn sparsifier(&self, stream: &GraphStream, params: SparsifierParams) -> PipelineOutput {
-        let alg = TwoPassSparsifier::new(self.n, params);
-        self.run_sharded_passes(alg, stream)
-            .into_output()
-            .expect("both passes completed")
     }
 }
 
@@ -321,24 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn net_ingest_matches_stream_ingest_bit_for_bit() {
-        let g = gen::erdos_renyi(40, 0.15, 5);
-        let stream = GraphStream::with_churn(&g, 2.0, 6);
-        let b = EngineBuilder::new(40).shards(3).seed(8);
-        let from_stream = b.agm_sketch(&stream);
-        let from_net = b.agm_sketch_net(&stream.net_multiset());
-        assert_eq!(
-            dsg_sketch::LinearSketch::to_bytes(&from_stream),
-            dsg_sketch::LinearSketch::to_bytes(&from_net),
-            "net warm-start diverged from raw-stream ingest"
-        );
-        assert_eq!(
-            b.spanning_forest(&stream).edges,
-            b.spanning_forest_net(&stream.net_multiset()).edges,
-        );
-    }
-
-    #[test]
     fn wire_path_matches_in_memory_path() {
         let g = gen::erdos_renyi(40, 0.15, 6);
         let stream = GraphStream::with_churn(&g, 0.5, 7);
@@ -347,17 +172,6 @@ mod tests {
             b.spanning_forest(&stream).edges,
             b.spanning_forest_via_wire(&stream).edges,
         );
-    }
-
-    #[test]
-    fn sharded_spanner_matches_single_threaded() {
-        let g = gen::erdos_renyi(40, 0.2, 8);
-        let stream = GraphStream::with_churn(&g, 1.0, 9);
-        let params = SpannerParams::new(2, 10);
-        let sharded = EngineBuilder::new(40).shards(4).spanner(&stream, params);
-        let direct = dsg_spanner::twopass::run_two_pass(&stream, params);
-        assert_eq!(sharded.spanner.edges(), direct.spanner.edges());
-        assert_eq!(sharded.observed_edges, direct.observed_edges);
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //!   delivering updates in per-shard batches to amortize synchronization;
 //! * any [`LinearSketch`] plugs in directly through the blanket
 //!   [`EngineSketch`] impl — `AgmSketch`, `SparseRecovery`, `L0Sampler`,
-//!   `DistinctEstimator`, … — while pass-structured algorithms (the
-//!   two-pass spanner and KP12 sparsifier) plug in through hand-written
-//!   `EngineSketch` wrappers in `dsg-core`;
+//!   `DistinctEstimator`, …;
 //! * shard results flow back to the coordinator either in memory
 //!   ([`EngineRun::merged`], a log-depth [`merge_tree`]) or as wire-format
 //!   snapshots ([`EngineRun::snapshots`] → [`reduce_snapshots`]), the
@@ -33,9 +31,8 @@
 //! live subgraph owned by the shard — not the stream history that flowed
 //! through it. Property tests in `tests/` and
 //! `tests/integration_engine.rs` at the workspace root pin the
-//! partition-invariance down end to end (identical sketch bytes, spanning
-//! forests, spanners, and sparsifiers versus single-threaded and
-//! round-robin splits).
+//! partition-invariance down end to end (identical sketch bytes and
+//! spanning forests versus single-threaded and round-robin splits).
 //!
 //! ```
 //! use dsg_engine::{EdgeUpdate, EngineConfig, ShardedEngine};
@@ -175,11 +172,8 @@ impl EngineConfig {
 /// folded into a coordinator-side reduction, and fork a frozen view of
 /// its state for live snapshots.
 ///
-/// Every [`LinearSketch`] gets this for free via the blanket impl.
-/// Pass-structured stream algorithms whose *per-pass* state is linear but
-/// whose whole object is not a `LinearSketch` (the two-pass spanner, the
-/// KP12 sparsifier pipeline) implement it directly on a wrapper — see
-/// `dsg_core::engine`.
+/// Every [`LinearSketch`] gets this for free via the blanket impl; a
+/// shard type that is not one implements it directly.
 pub trait EngineSketch: Send + 'static {
     /// Ingests a batch of updates.
     fn apply_batch(&mut self, batch: &[EdgeUpdate]);

@@ -157,9 +157,9 @@ pub struct NetEdge {
 }
 
 /// A view of a graph as a net edge multiset — the generalized input of
-/// the multi-pass entry points ([`crate::pass::run_multiset`],
-/// `dsg_spanner::twopass::run_two_pass_net`,
-/// `dsg_sparsifier::pipeline::run_sparsifier_net`). Implementors promise
+/// the multi-pass builds ([`crate::pass::run_multiset`], which
+/// `dsg_spanner::TwoPassSpanner::build` and
+/// `dsg_sparsifier::TwoPassSparsifier::build` run). Implementors promise
 /// to visit each distinct pair at most once, with multiplicity ≥ 1, in a
 /// deterministic order.
 pub trait EdgeMultiset {

@@ -45,9 +45,9 @@ use dsg_agm::AgmSketch;
 use dsg_graph::components::UnionFind;
 use dsg_graph::{Edge, Graph, NetMultiset, SegmentDelta, Vertex};
 use dsg_spanner::oracle::DistanceOracle;
-use dsg_spanner::twopass::{self, TwoPassSpanner};
-use dsg_sparsifier::pipeline::{run_sparsifier_net_retained, TwoPassSparsifier};
+use dsg_spanner::TwoPassSpanner;
 use dsg_sparsifier::Laplacian;
+use dsg_sparsifier::TwoPassSparsifier;
 use dsg_telemetry::{trace, EventKind};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -249,13 +249,6 @@ impl EpochSnapshot {
         )
     }
 
-    /// The patch-vs-rebuild decision rule: patch only when the diff holds
-    /// at most `churn_threshold × live_edges` changes. Purely a
-    /// performance choice — both paths produce bit-identical artifacts.
-    fn within_churn_budget(&self, delta: &SegmentDelta) -> bool {
-        delta.num_changes() as f64 <= self.config.churn_threshold * self.net.num_edges() as f64
-    }
-
     /// The epoch number (0 is the empty snapshot a graph starts with).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -334,17 +327,13 @@ impl EpochSnapshot {
     /// only the components the segment diff touched, splicing the
     /// predecessor's forest edges in everywhere else. Returns `None`
     /// (→ full rebuild) when no predecessor with a built forest is
-    /// linked or the diff exceeds the churn budget. The edge set is
-    /// bit-identical to a full decode either way; only
-    /// `ForestResult::decode_failures` (a diagnostic) is scoped to the
-    /// re-decoded components.
+    /// linked. The edge set is bit-identical to a full decode either
+    /// way; only `ForestResult::decode_failures` (a diagnostic) is
+    /// scoped to the re-decoded components.
     fn try_patch_forest(&self) -> Option<Arc<ForestData>> {
         let prev = self.prev()?;
         let prev_forest = Arc::clone(prev.forest.get()?);
         let delta = self.delta_from(&prev);
-        if !self.within_churn_budget(&delta) {
-            return None;
-        }
         let started = Instant::now();
         // A component is dirty iff the diff changed the net multiplicity
         // of an edge incident to it — weight-only changes are invisible
@@ -391,10 +380,10 @@ impl EpochSnapshot {
                 return patched;
             }
             self.metrics.record_full(ART_ORACLE);
-            let (out, alg) =
-                twopass::run_two_pass_net_retained(self.net.as_ref(), self.config.oracle_params());
+            let alg = TwoPassSpanner::build(self.net.as_ref(), self.config.oracle_params());
+            let spanner = alg.output().expect("both passes ran").spanner.clone();
             self.store_retained_spanner(alg);
-            Arc::new(self.wrap_oracle(out.spanner))
+            Arc::new(self.wrap_oracle(spanner))
         }))
     }
 
@@ -423,9 +412,6 @@ impl EpochSnapshot {
         let prev = self.prev()?;
         let prev_oracle = Arc::clone(prev.oracle.get()?);
         let delta = self.delta_from(&prev);
-        if !self.within_churn_budget(&delta) {
-            return None;
-        }
         let retained = prev.take_retained_spanner()?;
         let started = Instant::now();
         let mut alg = Arc::try_unwrap(retained).unwrap_or_else(|shared| (*shared).clone());
@@ -472,8 +458,8 @@ impl EpochSnapshot {
                 return patched;
             }
             self.metrics.record_full(ART_CUT);
-            let (out, alg) =
-                run_sparsifier_net_retained(self.net.as_ref(), self.config.cut_params());
+            let alg = TwoPassSparsifier::build(self.net.as_ref(), self.config.cut_params());
+            let out = alg.assemble().expect("both passes ran");
             self.store_retained_sparsifier(alg);
             Arc::new(CutData {
                 laplacian: Laplacian::from_weighted(&out.sparsifier),
@@ -491,9 +477,6 @@ impl EpochSnapshot {
         let prev = self.prev()?;
         let prev_cut = Arc::clone(prev.cut.get()?);
         let delta = self.delta_from(&prev);
-        if !self.within_churn_budget(&delta) {
-            return None;
-        }
         let retained = prev.take_retained_sparsifier()?;
         let started = Instant::now();
         let mut alg = Arc::try_unwrap(retained).unwrap_or_else(|shared| (*shared).clone());

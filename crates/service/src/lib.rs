@@ -74,7 +74,6 @@ pub use query::{GraphStats, Query, QueryService, QueryTicket, Response};
 pub use registry::{GraphRegistry, PersistedGraph, PersistedShard, ServedGraph, TenantEpochStats};
 pub use workload::{LoadGen, QueryMix};
 
-use dsg_core::engine::EngineBuilder;
 use dsg_graph::{Edge, Vertex};
 use dsg_sketch::WireError;
 use dsg_spanner::SpannerParams;
@@ -108,13 +107,6 @@ pub struct GraphConfig {
     /// Target spectral precision of the per-epoch KP12 sparsifier that
     /// backs cut queries.
     pub cut_eps: f64,
-    /// Incremental-artifact churn budget: an epoch's artifacts are
-    /// refreshed by **patching** the previous epoch's artifacts when the
-    /// segment diff holds at most `churn_threshold × live_edges` changes,
-    /// and rebuilt from scratch past it. Purely a performance knob —
-    /// patched artifacts are bit-identical to rebuilt ones at any
-    /// threshold. `0.0` disables incremental maintenance entirely.
-    pub churn_threshold: f64,
 }
 
 impl GraphConfig {
@@ -134,7 +126,6 @@ impl GraphConfig {
             batch_size: 256,
             spanner_k: 2,
             cut_eps: 0.5,
-            churn_threshold: 0.2,
         }
     }
 
@@ -190,21 +181,6 @@ impl GraphConfig {
         self
     }
 
-    /// Sets the incremental-artifact churn budget (see the
-    /// [`churn_threshold`](GraphConfig::churn_threshold) field docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is negative or not finite.
-    pub fn churn_threshold(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && threshold >= 0.0,
-            "churn threshold must be finite and non-negative"
-        );
-        self.churn_threshold = threshold;
-        self
-    }
-
     /// The exact spanner parameters an epoch of this graph builds its
     /// distance oracle with — public so an offline recomputation (the
     /// snapshot-isolation tests, a cold-standby server) can reproduce
@@ -217,17 +193,6 @@ impl GraphConfig {
     /// sparsifier with (see [`oracle_params`](GraphConfig::oracle_params)).
     pub fn cut_params(&self) -> SparsifierParams {
         SparsifierParams::new(self.spanner_k, self.cut_eps, self.seed ^ CUT_SALT)
-    }
-}
-
-/// An [`EngineBuilder`] already names the ingest shape (vertices, shards,
-/// batching, seed); a service graph adds only the artifact parameters.
-impl From<&EngineBuilder> for GraphConfig {
-    fn from(b: &EngineBuilder) -> Self {
-        GraphConfig::new(b.num_vertices())
-            .seed(b.root_seed())
-            .shards(b.num_shards())
-            .batch_size(b.updates_per_batch())
     }
 }
 
@@ -319,16 +284,6 @@ impl From<CompactError> for ServiceError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_from_engine_builder_carries_ingest_shape() {
-        let b = EngineBuilder::new(50).shards(3).batch_size(64).seed(9);
-        let cfg = GraphConfig::from(&b);
-        assert_eq!(cfg.n, 50);
-        assert_eq!(cfg.shards, 3);
-        assert_eq!(cfg.batch_size, 64);
-        assert_eq!(cfg.seed, 9);
-    }
 
     #[test]
     fn errors_display_usefully() {

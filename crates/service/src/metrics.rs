@@ -69,8 +69,8 @@ pub(crate) struct ArtifactMetrics {
     pub cache_hits: [Counter; 3],
     /// Refreshes served by patching the previous epoch's artifact.
     pub incremental: [Counter; 3],
-    /// Refreshes that ran the full from-scratch build (no usable
-    /// predecessor, or the segment diff exceeded the churn threshold).
+    /// Refreshes that ran the full from-scratch build (no predecessor
+    /// that built the artifact and still holds its pass state).
     pub full: [Counter; 3],
     /// Patch wall time per artifact, nanoseconds (successful patches
     /// only; full builds land in `build_nanos`).

@@ -285,21 +285,38 @@ fn churn_batch(live: &mut HashSet<Edge>, n: usize, frac: f64, rng: &mut u64) -> 
     batch
 }
 
+/// Deletes every live edge and inserts as many fresh pairs, none of them
+/// live before the batch, keeping `live` in sync.
+fn replace_all(live: &mut HashSet<Edge>, n: usize, rng: &mut u64) -> Vec<StreamUpdate> {
+    let mut old: Vec<Edge> = live.iter().copied().collect();
+    old.sort_unstable();
+    let mut batch: Vec<StreamUpdate> = old
+        .iter()
+        .map(|e| StreamUpdate::delete(e.u(), e.v()))
+        .collect();
+    let mut fresh = HashSet::new();
+    while fresh.len() < old.len() {
+        let e = fresh_edge(live, n, rng);
+        live.insert(e);
+        fresh.insert(e);
+        batch.push(StreamUpdate::insert(e.u(), e.v()));
+    }
+    *live = fresh;
+    batch
+}
+
 /// The tentpole contract end to end: N successive epochs advanced
 /// incrementally (each patching the previous epoch's artifacts with the
 /// segment diff) are bit-identical — sketch bytes, forest, labels,
 /// oracle distances, cut Laplacian — to the same epochs each built from
-/// scratch off the full stream, at several churn levels.
+/// scratch off the full stream, at several churn levels up to replacing
+/// every live edge (`frac` 1.0).
 #[test]
 fn incremental_epoch_chain_matches_scratch_builds() {
     let n = 30;
     let g = gen::erdos_renyi(n, 0.25, 31);
-    for (threshold, frac) in [(0.5f64, 0.08f64), (0.9, 0.3)] {
-        let config = GraphConfig::new(n)
-            .seed(17)
-            .shards(2)
-            .batch_size(16)
-            .churn_threshold(threshold);
+    for frac in [0.08f64, 0.3, 1.0] {
+        let config = GraphConfig::new(n).seed(17).shards(2).batch_size(16);
         let reg = GraphRegistry::new();
         let chained = reg.create("g", config).unwrap();
         let mut cumulative: Vec<StreamUpdate> = GraphStream::insert_only(&g, 32).updates().to_vec();
@@ -308,7 +325,11 @@ fn incremental_epoch_chain_matches_scratch_builds() {
         let mut live: HashSet<Edge> = g.edges().iter().copied().collect();
         let mut rng = 0xDEAD_BEEF ^ (frac.to_bits());
         for epoch in 0..4 {
-            let batch = churn_batch(&mut live, n, frac, &mut rng);
+            let batch = if frac < 1.0 {
+                churn_batch(&mut live, n, frac, &mut rng)
+            } else {
+                replace_all(&mut live, n, &mut rng)
+            };
             chained.apply(&batch).unwrap();
             cumulative.extend_from_slice(&batch);
             let snap = chained.advance_epoch();
@@ -321,73 +342,14 @@ fn incremental_epoch_chain_matches_scratch_builds() {
             );
         }
         // The chain must actually have exercised the patch path: every
-        // artifact of every post-warmup epoch fits the churn budget.
+        // artifact of every post-warmup epoch patches, at any churn.
         let stats = chained.epoch_stats();
         assert_eq!(
             stats.incremental_builds, 12,
-            "4 epochs x 3 artifacts patched (threshold {threshold}, churn {frac})"
+            "4 epochs x 3 artifacts patched (churn {frac})"
         );
         assert!(stats.last_patch_nanos > 0, "patch duration recorded");
     }
-}
-
-/// The fallback boundary is sharp and harmless: a diff exactly at
-/// `churn_threshold x live_edges` patches, one change more rebuilds, and
-/// both produce bit-identical snapshots.
-#[test]
-fn churn_threshold_boundary_switches_patch_to_rebuild() {
-    let n = 40;
-    // 39 path edges + 27 star edges = 66 live edges, all exact in f64.
-    let mut base = Vec::new();
-    for i in 0..39u32 {
-        base.push(StreamUpdate::insert(i, i + 1));
-    }
-    for j in 2..29u32 {
-        base.push(StreamUpdate::insert(0, j));
-    }
-    let config = GraphConfig::new(n).seed(23).shards(2).churn_threshold(0.25);
-    let reg = GraphRegistry::new();
-    let served = reg.create("g", config).unwrap();
-    served.apply(&base).unwrap();
-    touch_artifacts(&served.advance_epoch());
-    let full_warmup = served.epoch_stats().full_builds;
-
-    // Exactly at the boundary: 9 deletions + 7 insertions = 16 changes,
-    // 64 live edges, 16 <= 0.25 * 64 ⇒ patch.
-    let mut cumulative = base.clone();
-    let mut batch: Vec<StreamUpdate> = (0..9).map(|i| StreamUpdate::delete(i, i + 1)).collect();
-    batch.extend((3..10).map(|j| StreamUpdate::insert(1, j)));
-    served.apply(&batch).unwrap();
-    cumulative.extend_from_slice(&batch);
-    let at_boundary = served.advance_epoch();
-    touch_artifacts(&at_boundary);
-    let stats = served.epoch_stats();
-    assert_eq!(stats.incremental_builds, 3, "boundary diff must patch");
-    assert_eq!(
-        stats.full_builds, full_warmup,
-        "no fallback at the boundary"
-    );
-    assert_bit_identical(&at_boundary, &epoch_of(config, &cumulative), "at boundary");
-
-    // One change over: 10 deletions + 7 insertions = 17 changes, 61 live
-    // edges, 17 > 0.25 * 61 ⇒ full rebuild, still bit-identical.
-    let mut batch: Vec<StreamUpdate> = (10..20).map(|i| StreamUpdate::delete(i, i + 1)).collect();
-    batch.extend((4..11).map(|j| StreamUpdate::insert(2, j)));
-    served.apply(&batch).unwrap();
-    cumulative.extend_from_slice(&batch);
-    let over = served.advance_epoch();
-    touch_artifacts(&over);
-    let stats = served.epoch_stats();
-    assert_eq!(
-        stats.incremental_builds, 3,
-        "over-budget diff must not patch"
-    );
-    assert_eq!(
-        stats.full_builds,
-        full_warmup + 3,
-        "fallback past the boundary"
-    );
-    assert_bit_identical(&over, &epoch_of(config, &cumulative), "over boundary");
 }
 
 /// A pair that is not live, for insert-only steps.

@@ -310,7 +310,7 @@ impl ClusterForest {
                     }
                 }
             }
-            let far = *dist.iter().max().unwrap();
+            let far = *dist.iter().max().expect("dist holds the start member");
             if far == u32::MAX {
                 return None; // members not connected by witnesses
             }
@@ -321,6 +321,7 @@ impl ClusterForest {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

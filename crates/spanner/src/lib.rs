@@ -41,6 +41,8 @@
 //! assert!(stretch <= 4.0); // 2^k with k = 2
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod additive;
 pub mod baswana_sen;
 pub mod cluster;

@@ -74,12 +74,12 @@ impl SourceCache {
 ///
 /// ```
 /// use dsg_graph::{gen, GraphStream};
-/// use dsg_spanner::{oracle::DistanceOracle, twopass, SpannerParams};
+/// use dsg_spanner::{oracle::DistanceOracle, SpannerParams, TwoPassSpanner};
 ///
 /// let g = gen::erdos_renyi(60, 0.2, 1);
-/// let stream = GraphStream::with_churn(&g, 1.0, 2);
+/// let net = GraphStream::with_churn(&g, 1.0, 2).net_multiset();
 /// let k = 2;
-/// let out = twopass::run_two_pass(&stream, SpannerParams::new(k, 3));
+/// let out = TwoPassSpanner::build(&net, SpannerParams::new(k, 3)).into_output().unwrap();
 /// let oracle = DistanceOracle::new(out.spanner, 1 << k);
 ///
 /// let d_true = dsg_graph::bfs::bfs_distances(&g.adjacency(), 0);
@@ -298,13 +298,15 @@ impl DistanceOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{twopass, SpannerParams};
+    use crate::{SpannerParams, TwoPassSpanner};
     use dsg_graph::{gen, GraphStream};
 
     fn oracle_for(n: usize, k: usize, seed: u64) -> (Graph, DistanceOracle) {
         let g = gen::erdos_renyi(n, 0.15, seed);
-        let stream = GraphStream::with_churn(&g, 1.0, seed ^ 0x0C);
-        let out = twopass::run_two_pass(&stream, SpannerParams::new(k, seed));
+        let net = GraphStream::with_churn(&g, 1.0, seed ^ 0x0C).net_multiset();
+        let out = TwoPassSpanner::build(&net, SpannerParams::new(k, seed))
+            .into_output()
+            .expect("both passes ran");
         (g, DistanceOracle::new(out.spanner, 1 << k))
     }
 

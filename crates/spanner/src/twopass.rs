@@ -28,16 +28,18 @@ use dsg_graph::{index_to_pair, Edge, Graph, SegmentDelta, StreamAlgorithm, Verte
 use dsg_hash::{KWiseHash, SeedTree, SubsetSampler};
 use dsg_sketch::onesparse::OneSparseCell;
 use dsg_sketch::ssparse::{RecoveryFamily, RecoveryState};
-use dsg_sketch::{LinearHashTable, LinearSketch};
+use dsg_sketch::LinearHashTable;
 use dsg_util::SpaceUsage;
 use std::collections::{HashMap, HashSet};
 
 /// Execution statistics of a two-pass run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TwoPassStats {
-    /// Measured sketch bytes at the end of pass 1.
+    /// Measured sketch bytes of pass 1: the shared randomness plus the
+    /// `S^{r,j}(u)` recovery states.
     pub pass1_bytes: usize,
-    /// Measured sketch bytes at the end of pass 2 (tables included).
+    /// Measured sketch bytes of pass 2: the shared randomness plus the
+    /// `H^u_j` tables.
     pub pass2_bytes: usize,
     /// Pass-1 `Q` decodes that failed (whp events).
     pub sketch_decode_failures: usize,
@@ -52,8 +54,8 @@ pub struct TwoPassStats {
 /// One terminal's decoded contribution to the spanner: the edges its
 /// tables recovered (each goes into both the spanner and `Ω(R)`) and the
 /// decode failures tallied while recovering them. Cached per terminal
-/// identity in retaining mode so a patch can replay the terminals whose
-/// tables it left untouched instead of re-decoding them.
+/// identity so a patch can replay the terminals whose tables it left
+/// untouched instead of re-decoding them.
 #[derive(Debug, Clone, Default)]
 struct TerminalDecode {
     edges: Vec<Edge>,
@@ -76,10 +78,11 @@ pub struct TwoPassOutput {
     pub stats: TwoPassStats,
 }
 
-/// The two-pass streaming spanner algorithm (implements
-/// [`StreamAlgorithm`]; drive it with [`dsg_graph::pass::run`], or shard
-/// each pass across threads and recombine with
-/// [`merge_pass_state`](TwoPassSpanner::merge_pass_state)).
+/// The two-pass streaming spanner algorithm. [`build`](Self::build) runs
+/// both passes over a net edge multiset and [`patch`](Self::patch) moves
+/// the finished instance to the next segment; it also implements
+/// [`StreamAlgorithm`], so [`dsg_graph::pass::run`] drives it over a raw
+/// stream.
 #[derive(Debug, Clone)]
 pub struct TwoPassSpanner {
     n: usize,
@@ -95,7 +98,9 @@ pub struct TwoPassSpanner {
     sketch_families: Vec<Vec<RecoveryFamily>>,
     /// Fingerprint hash of the inner neighborhood cells, per `j`.
     inner_hashes: Vec<KWiseHash>,
-    /// Pass-1 states `S^{r,j}(u)`, allocated lazily.
+    /// Pass-1 states `S^{r,j}(u)`, allocated lazily. Kept after
+    /// `build_clusters`: they are the linear state a
+    /// [`patch`](TwoPassSpanner::patch) moves to the next segment.
     s_states: HashMap<(Vertex, u8, u8), RecoveryState>,
     /// The forest (centers fixed at construction; edges added after pass 1).
     forest: Option<ClusterForest>,
@@ -110,12 +115,8 @@ pub struct TwoPassSpanner {
     current_pass: usize,
     stats: TwoPassStats,
     output: Option<TwoPassOutput>,
-    /// Keep the pass-1 `S^{r,j}(u)` states after `build_clusters` so a
-    /// later [`patch`](TwoPassSpanner::patch) can move them to the next
-    /// epoch's segment in O(changes) instead of re-ingesting.
-    retain: bool,
-    /// Per-terminal decode results of the last [`build_spanner`], keyed
-    /// by terminal identity (retaining mode only).
+    /// Per-terminal decode results of the last `build_spanner`, keyed
+    /// by terminal identity.
     spanner_cache: HashMap<NodeId, TerminalDecode>,
     /// Set by [`patch`](TwoPassSpanner::patch) before `build_spanner`:
     /// indices into `terminals` whose tables changed since the last
@@ -177,27 +178,51 @@ impl TwoPassSpanner {
             current_pass: 0,
             stats: TwoPassStats::default(),
             output: None,
-            retain: false,
             spanner_cache: HashMap::new(),
             dirty_tables: None,
         }
     }
 
-    /// Switches the instance into retaining mode: the pass-1 recovery
-    /// states survive `build_clusters`, so the finished instance holds
-    /// every stream-facing linear state (pass-1 sketches *and* pass-2
-    /// tables) and can be [`patch`](TwoPassSpanner::patch)ed to a nearby
-    /// segment. Costs the pass-1 sketch memory for the lifetime of the
-    /// instance; the decoded output is unaffected.
-    pub fn retaining(mut self) -> Self {
-        self.set_retaining();
-        self
-    }
-
-    /// In-place [`retaining`](Self::retaining), for instances held inside
-    /// a bank (e.g. the KP12 pipeline's inner spanners).
-    pub fn set_retaining(&mut self) {
-        self.retain = true;
+    /// Runs both passes over the **net edge multiset** `view` and returns
+    /// the finished instance: its output is in [`output`](Self::output),
+    /// and it holds every pass state (the pass-1 sketches *and* the
+    /// pass-2 tables), so it can be [`patch`](Self::patch)ed to the next
+    /// segment.
+    ///
+    /// Each pass costs O(current edges) rather than O(stream length), and
+    /// the output is bit-identical to [`dsg_graph::pass::run`] over any
+    /// raw stream with the same net effect: within a pass the algorithm's
+    /// stream-facing state is linear in the updates, and everything
+    /// between passes is a deterministic function of that state, so only
+    /// the net multiset can be observed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dsg_graph::{gen, pass, GraphStream};
+    /// use dsg_spanner::{SpannerParams, TwoPassSpanner};
+    ///
+    /// let g = gen::erdos_renyi(50, 0.2, 1);
+    /// let stream = GraphStream::with_churn(&g, 2.0, 2);
+    /// let params = SpannerParams::new(2, 3);
+    /// let built = TwoPassSpanner::build(&stream.net_multiset(), params);
+    /// let mut replayed = TwoPassSpanner::new(50, params);
+    /// pass::run(&mut replayed, &stream);
+    /// let (a, b) = (built.output().unwrap(), replayed.output().unwrap());
+    /// assert_eq!(a.spanner.edges(), b.spanner.edges());
+    /// assert!(a.spanner.num_edges() > 0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `view` has fewer than two vertices.
+    pub fn build<M>(view: &M, params: SpannerParams) -> Self
+    where
+        M: dsg_graph::EdgeMultiset + ?Sized,
+    {
+        let mut alg = Self::new(view.num_vertices(), params);
+        dsg_graph::pass::run_multiset(&mut alg, view);
+        alg
     }
 
     /// The construction parameters.
@@ -215,54 +240,10 @@ impl TwoPassSpanner {
         self.output
     }
 
-    /// Borrows the output if both passes ran (the retaining-mode accessor:
-    /// the instance stays alive to be patched again).
+    /// Borrows the output if both passes ran (the instance stays alive to
+    /// be patched again).
     pub fn output(&self) -> Option<&TwoPassOutput> {
         self.output.as_ref()
-    }
-
-    /// Adds `other`'s pass-local linear state into `self` — the
-    /// distributed-ingest merge.
-    ///
-    /// Within each pass the algorithm's stream-facing state is a *linear*
-    /// function of the updates: pass 1 accumulates the `S^{r,j}(u)`
-    /// recovery states, pass 2 the `H^u_j` hash tables; everything else
-    /// (forest, terminals, observed edges) is computed between passes and
-    /// never touched by `process`. So shards built with the same `n` and
-    /// params can each ingest a slice of the stream and be merged here,
-    /// bit-for-bit equal to one instance seeing the whole stream — the
-    /// simultaneous-communication pattern of Filtser–Kapralov–Nouri.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` was built with different `n`, seed, or `k`, or
-    /// sits in a different pass.
-    pub fn merge_pass_state(&mut self, other: &Self) {
-        assert_eq!(self.n, other.n, "vertex count mismatch");
-        assert_eq!(self.params.seed, other.params.seed, "seed mismatch");
-        assert_eq!(self.params.k, other.params.k, "depth mismatch");
-        assert_eq!(self.current_pass, other.current_pass, "pass mismatch");
-        for (&(v, r, j), st) in &other.s_states {
-            let family = &self.sketch_families[r as usize][j as usize];
-            let mine = self
-                .s_states
-                .entry((v, r, j))
-                .or_insert_with(|| family.new_state());
-            mine.merge(st);
-            if mine.is_zero() {
-                self.s_states.remove(&(v, r, j));
-            }
-        }
-        assert_eq!(
-            self.tables.len(),
-            other.tables.len(),
-            "table shape mismatch"
-        );
-        for (mine, theirs) in self.tables.iter_mut().zip(&other.tables) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge(b);
-            }
-        }
     }
 
     fn process_pass1(&mut self, up: &StreamUpdate) {
@@ -368,13 +349,6 @@ impl TwoPassSpanner {
             .collect();
         self.stats.num_terminals = self.terminals.len();
         self.forest = Some(forest);
-        // The per-vertex pass-1 sketches are no longer needed to *decode*;
-        // a plain deployment frees them between passes so space accounting
-        // does not double-charge pass 2. Retaining mode keeps them — they
-        // are the linear state a segment-delta patch advances.
-        if !self.retain {
-            self.s_states.clear();
-        }
     }
 
     /// The pass-2 tables `H^t_j` of one terminal, seeded by the
@@ -434,10 +408,10 @@ impl TwoPassSpanner {
     /// Algorithm 2, lines 19–33: assembles the spanner.
     ///
     /// A terminal's contribution is a deterministic function of its
-    /// tables alone, so in retaining mode the per-terminal decodes are
-    /// cached by terminal identity and replayed for terminals whose
-    /// tables the preceding [`patch`](Self::patch) left untouched
-    /// (`dirty_tables`); a full build decodes everything.
+    /// tables alone, so the per-terminal decodes are cached by terminal
+    /// identity and replayed for terminals whose tables the preceding
+    /// [`patch`](Self::patch) left untouched (`dirty_tables`); a full
+    /// build decodes everything.
     fn build_spanner(&mut self) {
         let forest = self.forest.take().expect("forest present");
         let mut edges: HashSet<Edge> = forest.witness_edges().into_iter().collect();
@@ -503,14 +477,10 @@ impl TwoPassSpanner {
             }
             self.stats.table_decode_failures += dec.table_failures;
             self.stats.inner_decode_failures += dec.inner_failures;
-            if self.retain {
-                self.spanner_cache.insert(t, dec);
-            }
+            self.spanner_cache.insert(t, dec);
         }
-        if self.retain {
-            let live: HashSet<NodeId> = self.terminals.iter().copied().collect();
-            self.spanner_cache.retain(|t, _| live.contains(t));
-        }
+        let live: HashSet<NodeId> = self.terminals.iter().copied().collect();
+        self.spanner_cache.retain(|t, _| live.contains(t));
         let spanner = Graph::from_edges(self.n, edges);
         let mut observed: Vec<Edge> = self.observed.iter().copied().collect();
         observed.sort_unstable();
@@ -522,9 +492,9 @@ impl TwoPassSpanner {
         });
     }
 
-    /// Advances a completed retaining-mode run to a nearby segment in
-    /// O(changes) ingest work, returning output **bit-identical** to a
-    /// from-scratch [`run_two_pass_net`] over `cur`.
+    /// Advances a completed run to the segment `cur` in O(changes) ingest
+    /// work, returning output **bit-identical** to a from-scratch
+    /// [`build`](Self::build) over `cur`, at any churn.
     ///
     /// Why this is exact and not heuristic: every stream-facing state is
     /// a linear function of the net multiset, so applying the per-edge
@@ -539,8 +509,8 @@ impl TwoPassSpanner {
     ///   terminal's member set and the net multiset;
     /// - otherwise the retained tables are *repaired* in O(changes +
     ///   deg(moved vertices)): tables are identity-keyed (see
-    ///   [`fresh_terminal_tables`](Self::fresh_terminal_tables)), so a
-    ///   persisting terminal's table stays valid; the delta is applied
+    ///   `fresh_terminal_tables`), so a persisting terminal's table
+    ///   stays valid; the delta is applied
     ///   under the old classes, carrying every persisting table to
     ///   `cur`'s content *as routed by the old classes*; then every
     ///   `cur` edge incident to a vertex whose terminal identity changed
@@ -556,13 +526,12 @@ impl TwoPassSpanner {
     ///
     /// # Panics
     ///
-    /// Panics if the instance is not in retaining mode, has not completed
-    /// both passes, or `cur` disagrees on the vertex count.
+    /// Panics if the instance has not completed both passes, or `cur`
+    /// disagrees on the vertex count.
     pub fn patch<M>(&mut self, delta: &SegmentDelta, cur: &M) -> &TwoPassOutput
     where
         M: dsg_graph::EdgeMultiset + ?Sized,
     {
-        assert!(self.retain, "patch requires a retaining-mode instance");
         assert!(self.output.is_some(), "patch requires a completed run");
         assert_eq!(cur.num_vertices(), self.n, "vertex count mismatch");
 
@@ -578,7 +547,7 @@ impl TwoPassSpanner {
         for &(e, d) in &ups {
             self.pass1_apply(e, d);
         }
-        self.stats.pass1_bytes = self.measured_bytes();
+        self.stats.pass1_bytes = self.pass_bytes(0);
         let prev_terminals = std::mem::take(&mut self.terminals);
         let prev_class = std::mem::take(&mut self.class_of);
         self.build_clusters();
@@ -676,32 +645,52 @@ impl TwoPassSpanner {
                 }
             });
         }
-        self.stats.pass2_bytes = self.measured_bytes();
+        self.stats.pass2_bytes = self.pass_bytes(1);
         self.dirty_tables = Some(dirty);
         self.build_spanner();
         self.output.as_ref().expect("patched run completed")
     }
 
-    fn measured_bytes(&self) -> usize {
+    /// Bytes of the shared randomness: samplers, sketch families and the
+    /// inner-cell hashes.
+    fn randomness_bytes(&self) -> usize {
         let samplers: usize = self.edge_samplers.space_bytes() + self.vertex_samplers.space_bytes();
         let families: usize = self
             .sketch_families
             .iter()
             .map(|row| row.iter().map(SpaceUsage::space_bytes).sum::<usize>())
             .sum();
-        let states: usize = self
-            .s_states
+        let inner: usize = self.inner_hashes.iter().map(SpaceUsage::space_bytes).sum();
+        samplers + families + inner
+    }
+
+    fn states_bytes(&self) -> usize {
+        self.s_states
             .values()
             .map(SpaceUsage::space_bytes)
             .sum::<usize>()
-            + self.s_states.len() * 8;
-        let tables: usize = self
-            .tables
+            + self.s_states.len() * 8
+    }
+
+    fn tables_bytes(&self) -> usize {
+        self.tables
             .iter()
             .map(|row| row.iter().map(SpaceUsage::space_bytes).sum::<usize>())
-            .sum();
-        let inner: usize = self.inner_hashes.iter().map(SpaceUsage::space_bytes).sum();
-        samplers + families + states + tables + inner
+            .sum()
+    }
+
+    /// The sketch bytes pass `pass` needs: the shared randomness plus that
+    /// pass's own linear state (the pass-1 recovery states, or the pass-2
+    /// tables). The instance keeps both after a run so it can be patched,
+    /// but no pass reads the other's state, so these are the figures
+    /// Theorem 1 bounds.
+    fn pass_bytes(&self, pass: usize) -> usize {
+        let state = if pass == 0 {
+            self.states_bytes()
+        } else {
+            self.tables_bytes()
+        };
+        self.randomness_bytes() + state
     }
 }
 
@@ -731,89 +720,21 @@ impl StreamAlgorithm for TwoPassSpanner {
 
     fn end_pass(&mut self, pass: usize) {
         if pass == 0 {
-            self.stats.pass1_bytes = self.measured_bytes();
+            self.stats.pass1_bytes = self.pass_bytes(0);
             self.build_clusters();
         } else {
-            self.stats.pass2_bytes = self.measured_bytes();
+            self.stats.pass2_bytes = self.pass_bytes(1);
             self.build_spanner();
         }
     }
 }
 
 impl SpaceUsage for TwoPassSpanner {
+    /// Everything the instance holds: the randomness and both passes'
+    /// state.
     fn space_bytes(&self) -> usize {
-        self.measured_bytes()
+        self.randomness_bytes() + self.states_bytes() + self.tables_bytes()
     }
-}
-
-/// Convenience: runs the two-pass spanner over a stream and returns the
-/// output.
-///
-/// # Examples
-///
-/// ```
-/// use dsg_graph::{gen, GraphStream};
-/// use dsg_spanner::{twopass, SpannerParams};
-///
-/// let g = gen::erdos_renyi(50, 0.2, 1);
-/// let stream = GraphStream::with_churn(&g, 1.0, 2);
-/// let out = twopass::run_two_pass(&stream, SpannerParams::new(2, 3));
-/// assert!(out.spanner.num_edges() > 0);
-/// ```
-pub fn run_two_pass(stream: &dsg_graph::GraphStream, params: SpannerParams) -> TwoPassOutput {
-    let mut alg = TwoPassSpanner::new(stream.num_vertices(), params);
-    dsg_graph::pass::run(&mut alg, stream);
-    alg.into_output().expect("both passes completed")
-}
-
-/// Runs the two-pass spanner over a **net edge multiset** view instead of
-/// a materialized stream — the generalized entry point compacted serving
-/// and durability layers rebuild epoch artifacts from.
-///
-/// Each pass costs O(current edges) rather than O(stream length), and the
-/// output is bit-identical to [`run_two_pass`] on any raw stream with the
-/// same net effect: within a pass the algorithm's stream-facing state is
-/// linear in the updates, and everything between passes is a
-/// deterministic function of that state, so only the net multiset can be
-/// observed. `net_rebuild_matches_stream_replay` (and the service layer's
-/// property tests) assert the equivalence end to end.
-///
-/// # Examples
-///
-/// ```
-/// use dsg_graph::{gen, GraphStream};
-/// use dsg_spanner::{twopass, SpannerParams};
-///
-/// let g = gen::erdos_renyi(50, 0.2, 1);
-/// let stream = GraphStream::with_churn(&g, 2.0, 2);
-/// let params = SpannerParams::new(2, 3);
-/// let raw = twopass::run_two_pass(&stream, params);
-/// let net = twopass::run_two_pass_net(&stream.net_multiset(), params);
-/// assert_eq!(raw.spanner.edges(), net.spanner.edges());
-/// ```
-pub fn run_two_pass_net<M>(view: &M, params: SpannerParams) -> TwoPassOutput
-where
-    M: dsg_graph::EdgeMultiset + ?Sized,
-{
-    let mut alg = TwoPassSpanner::new(view.num_vertices(), params);
-    dsg_graph::pass::run_multiset(&mut alg, view);
-    alg.into_output().expect("both passes completed")
-}
-
-/// [`run_two_pass_net`] in retaining mode: same output (bit for bit),
-/// plus the instance holding every pass-facing linear state — the seed of
-/// an O(changes) [`patch`](TwoPassSpanner::patch) chain across epochs.
-pub fn run_two_pass_net_retained<M>(
-    view: &M,
-    params: SpannerParams,
-) -> (TwoPassOutput, TwoPassSpanner)
-where
-    M: dsg_graph::EdgeMultiset + ?Sized,
-{
-    let mut alg = TwoPassSpanner::new(view.num_vertices(), params).retaining();
-    dsg_graph::pass::run_multiset(&mut alg, view);
-    let out = alg.output().cloned().expect("both passes completed");
-    (out, alg)
 }
 
 /// The worst-case space bound of Theorem 1 in bytes, for context in
@@ -830,9 +751,22 @@ mod tests {
     use crate::verify;
     use dsg_graph::{gen, GraphStream};
 
+    /// The raw-stream reference: both passes replayed update by update.
+    fn replay(stream: &GraphStream, params: SpannerParams) -> TwoPassOutput {
+        let mut alg = TwoPassSpanner::new(stream.num_vertices(), params);
+        dsg_graph::pass::run(&mut alg, stream);
+        alg.into_output().expect("both passes ran")
+    }
+
+    fn built<M: dsg_graph::EdgeMultiset>(view: &M, params: SpannerParams) -> TwoPassOutput {
+        TwoPassSpanner::build(view, params)
+            .into_output()
+            .expect("both passes ran")
+    }
+
     fn spanner_for(g: &Graph, k: usize, seed: u64) -> TwoPassOutput {
         let stream = GraphStream::with_churn(g, 1.0, seed ^ 0xABCD);
-        run_two_pass(&stream, SpannerParams::new(k, seed))
+        replay(&stream, SpannerParams::new(k, seed))
     }
 
     #[test]
@@ -863,7 +797,7 @@ mod tests {
     fn preserves_connectivity_under_churn() {
         let g = gen::erdos_renyi(70, 0.1, 6);
         let stream = GraphStream::with_churn(&g, 2.0, 7);
-        let out = run_two_pass(&stream, SpannerParams::new(2, 8));
+        let out = replay(&stream, SpannerParams::new(2, 8));
         assert_eq!(
             dsg_graph::components::num_components(&g),
             dsg_graph::components::num_components(&out.spanner),
@@ -875,7 +809,7 @@ mod tests {
         // Deleted edges must never appear in the spanner.
         let g = gen::erdos_renyi(50, 0.2, 9);
         let stream = GraphStream::with_churn(&g, 3.0, 10);
-        let out = run_two_pass(&stream, SpannerParams::new(2, 11));
+        let out = replay(&stream, SpannerParams::new(2, 11));
         assert!(verify::is_subgraph(&g, &out.spanner));
     }
 
@@ -888,8 +822,8 @@ mod tests {
             let g = gen::erdos_renyi(40, 0.2, seed);
             let stream = GraphStream::with_churn(&g, 2.0, seed ^ 0x9E37);
             let params = SpannerParams::new(2, seed);
-            let raw = run_two_pass(&stream, params);
-            let net = run_two_pass_net(&stream.net_multiset(), params);
+            let raw = replay(&stream, params);
+            let net = built(&stream.net_multiset(), params);
             assert_eq!(raw.spanner.edges(), net.spanner.edges(), "seed {seed}");
             assert_eq!(raw.observed_edges, net.observed_edges, "seed {seed}");
             assert_eq!(
@@ -957,7 +891,7 @@ mod tests {
     #[test]
     fn empty_graph_stream() {
         let stream = GraphStream::new(10, vec![]);
-        let out = run_two_pass(&stream, SpannerParams::new(2, 20));
+        let out = replay(&stream, SpannerParams::new(2, 20));
         assert_eq!(out.spanner.num_edges(), 0);
     }
 
@@ -1017,15 +951,40 @@ mod tests {
     }
 
     #[test]
-    fn retained_run_matches_plain_run() {
-        let g = gen::erdos_renyi(40, 0.2, 41);
-        let net = GraphStream::with_churn(&g, 1.0, 42).net_multiset();
+    fn build_matches_replay_stats_and_full_replacement_patch() {
+        // `build` keeps both passes' state, but the per-pass byte counts
+        // it reports are those of a replay of the raw stream, so the
+        // space tables do not depend on which one ran.
         let params = SpannerParams::new(2, 43);
-        let plain = run_two_pass_net(&net, params);
-        let (kept, _alg) = run_two_pass_net_retained(&net, params);
-        assert_eq!(plain.spanner.edges(), kept.spanner.edges());
-        assert_eq!(plain.observed_edges, kept.observed_edges);
-        assert_eq!(plain.forest.witness_edges(), kept.forest.witness_edges());
+        let g = gen::erdos_renyi(40, 0.2, 41);
+        let stream = GraphStream::with_churn(&g, 1.0, 42);
+        let raw = replay(&stream, params);
+        let prev_net = stream.net_multiset();
+        let mut alg = TwoPassSpanner::build(&prev_net, params);
+        let net = alg.output().expect("both passes ran");
+        assert_eq!(raw.stats, net.stats);
+        assert!(net.stats.pass1_bytes > 0 && net.stats.pass2_bytes > 0);
+        assert_eq!(raw.spanner.edges(), net.spanner.edges());
+        assert_eq!(raw.observed_edges, net.observed_edges);
+
+        // Every live edge deleted and as many fresh ones inserted: the
+        // patch touches every state and every terminal, and must still
+        // land on exactly what a build of the new segment yields.
+        let fresh: Vec<Edge> = (0..40 as Vertex)
+            .flat_map(|u| ((u + 1)..40).map(move |v| Edge::new(u, v)))
+            .filter(|e| !g.has_edge(e.u(), e.v()))
+            .take(g.num_edges())
+            .collect();
+        assert_eq!(fresh.len(), g.num_edges());
+        let cur_net = GraphStream::insert_only(&Graph::from_edges(40, fresh), 47).net_multiset();
+        let delta = cur_net.diff(&prev_net);
+        assert_eq!(delta.num_changes(), 2 * g.num_edges());
+        let patched = alg.patch(&delta, &cur_net);
+        let full = built(&cur_net, params);
+        assert_eq!(patched.spanner.edges(), full.spanner.edges());
+        assert_eq!(patched.observed_edges, full.observed_edges);
+        assert_eq!(patched.forest.witness_edges(), full.forest.witness_edges());
+        assert_eq!(patched.stats, full.stats);
     }
 
     /// Perturbs `frac` of the live pairs of `g` (half removed, half
@@ -1068,9 +1027,9 @@ mod tests {
             let delta = cur_net.diff(&prev_net);
             assert!(!delta.is_empty(), "churn {frac} must change something");
 
-            let (_, mut alg) = run_two_pass_net_retained(&prev_net, params);
+            let mut alg = TwoPassSpanner::build(&prev_net, params);
             let patched = alg.patch(&delta, &cur_net);
-            let full = run_two_pass_net(&cur_net, params);
+            let full = built(&cur_net, params);
             assert_eq!(
                 patched.spanner.edges(),
                 full.spanner.edges(),
@@ -1093,12 +1052,12 @@ mod tests {
         let params = SpannerParams::new(2, 61);
         let mut live = gen::erdos_renyi(40, 0.2, 62);
         let mut net = GraphStream::insert_only(&live, 63).net_multiset();
-        let (_, mut alg) = run_two_pass_net_retained(&net, params);
+        let mut alg = TwoPassSpanner::build(&net, params);
         for epoch in 0..4u64 {
             live = churned(&live, 0.08, 64 + epoch);
             let next = GraphStream::insert_only(&live, 65 + epoch).net_multiset();
             let patched = alg.patch(&next.diff(&net), &next);
-            let full = run_two_pass_net(&next, params);
+            let full = built(&next, params);
             assert_eq!(
                 patched.spanner.edges(),
                 full.spanner.edges(),

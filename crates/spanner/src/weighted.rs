@@ -172,6 +172,7 @@ impl SpaceUsage for WeightedTwoPassSpanner {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::verify;

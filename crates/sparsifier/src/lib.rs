@@ -42,6 +42,8 @@
 //! assert_eq!(l.quadratic_form(&x), 36.0); // 6×6 crossing edges
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod cut;
 pub mod eigen;
 pub mod estimate;
@@ -52,9 +54,7 @@ pub mod resistance;
 pub mod solver;
 pub mod spectral;
 pub mod ss08;
-pub mod weighted;
 
 pub use kp12::SparsifierParams;
 pub use laplacian::Laplacian;
 pub use pipeline::TwoPassSparsifier;
-pub use weighted::WeightedTwoPassSparsifier;

@@ -17,9 +17,7 @@
 use crate::estimate::{ConnectivityEstimator, NestedSamplers};
 use crate::kp12::SparsifierParams;
 use dsg_graph::stream::StreamUpdate;
-use dsg_graph::{
-    FilteredMultiset, Graph, GraphStream, SegmentDelta, StreamAlgorithm, WeightedGraph,
-};
+use dsg_graph::{FilteredMultiset, Graph, SegmentDelta, StreamAlgorithm, WeightedGraph};
 use dsg_hash::{SeedTree, SubsetSampler};
 use dsg_spanner::{SpannerParams, TwoPassSpanner};
 use dsg_util::SpaceUsage;
@@ -29,7 +27,8 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Total measured sketch bytes across all spanner instances (peak of
-    /// the two passes).
+    /// the two passes, each pass counting only its own state; see
+    /// [`TwoPassStats`](dsg_spanner::twopass::TwoPassStats)).
     pub sketch_bytes: usize,
     /// Number of estimator spanner instances (`J × T`).
     pub estimate_instances: usize,
@@ -48,9 +47,11 @@ pub struct PipelineOutput {
     pub stats: PipelineStats,
 }
 
-/// The two-pass streaming sparsifier (implements [`StreamAlgorithm`];
-/// each pass can also be sharded across threads and recombined with
-/// [`merge_pass_state`](TwoPassSparsifier::merge_pass_state)).
+/// The two-pass streaming sparsifier. [`build`](Self::build) runs both
+/// passes over a net edge multiset and [`patch`](Self::patch) moves the
+/// finished pipeline to the next segment; it also implements
+/// [`StreamAlgorithm`], so [`dsg_graph::pass::run`] drives it over a raw
+/// stream.
 #[derive(Debug, Clone)]
 pub struct TwoPassSparsifier {
     n: usize,
@@ -138,53 +139,64 @@ impl TwoPassSparsifier {
         }
     }
 
+    /// Runs both passes over the **net edge multiset** `view` and returns
+    /// the finished pipeline, every inner spanner holding its pass state
+    /// so the pipeline can be [`patch`](Self::patch)ed to the next
+    /// segment; [`assemble`](Self::assemble) yields the sparsifier.
+    ///
+    /// Bit-identical to [`dsg_graph::pass::run`] over any raw stream with
+    /// the same net effect: the pipeline is a bank of two-pass spanners
+    /// behind deterministic subsample filters, so its per-pass state is
+    /// linear exactly when theirs is, and the post-pass weighting
+    /// (Algorithm 6) is a deterministic function of that state.
+    ///
+    /// # Examples
+    ///
+    /// ```no_run
+    /// use dsg_graph::{gen, GraphStream};
+    /// use dsg_sparsifier::{SparsifierParams, TwoPassSparsifier};
+    ///
+    /// let g = gen::erdos_renyi(48, 0.3, 1);
+    /// let net = GraphStream::with_churn(&g, 0.5, 2).net_multiset();
+    /// let alg = TwoPassSparsifier::build(&net, SparsifierParams::new(2, 0.5, 3));
+    /// let out = alg.assemble().expect("both passes ran");
+    /// println!("{} edges", out.sparsifier.num_edges());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `view` has fewer than two vertices.
+    pub fn build<M>(view: &M, params: SparsifierParams) -> Self
+    where
+        M: dsg_graph::EdgeMultiset + ?Sized,
+    {
+        let mut alg = Self::new(view.num_vertices(), params);
+        dsg_graph::pass::run_multiset(&mut alg, view);
+        alg
+    }
+
     /// The construction parameters.
     pub fn params(&self) -> &SparsifierParams {
         &self.params
     }
 
-    /// Adds `other`'s pass-local linear state into `self` — the
-    /// distributed-ingest merge, delegated to every inner
-    /// [`TwoPassSpanner::merge_pass_state`]. The pipeline is a bank of
-    /// two-pass spanners behind deterministic subsample filters, so its
-    /// per-pass stream state is linear exactly when theirs is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` was built with different `n` or params, or sits
-    /// in a different pass.
-    pub fn merge_pass_state(&mut self, other: &Self) {
-        assert_eq!(self.n, other.n, "vertex count mismatch");
-        assert_eq!(self.params.seed, other.params.seed, "seed mismatch");
-        assert!(
-            self.estimate_spanners.len() == other.estimate_spanners.len()
-                && self
-                    .estimate_spanners
-                    .iter()
-                    .zip(&other.estimate_spanners)
-                    .all(|(a, b)| a.len() == b.len())
-                && self.sample_spanners.len() == other.sample_spanners.len()
-                && self
-                    .sample_spanners
-                    .iter()
-                    .zip(&other.sample_spanners)
-                    .all(|(a, b)| a.len() == b.len()),
-            "spanner bank shape mismatch (different eps/z/j parameters?)"
-        );
-        for (mine, theirs) in self
-            .estimate_spanners
-            .iter_mut()
-            .zip(&other.estimate_spanners)
-        {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge_pass_state(b);
-            }
+    /// Every inner spanner: the estimator bank, then the sampling bank.
+    fn spanners(&self) -> impl Iterator<Item = &TwoPassSpanner> {
+        self.estimate_spanners
+            .iter()
+            .chain(&self.sample_spanners)
+            .flatten()
+    }
+
+    /// The larger of the two passes' summed sketch bytes over the
+    /// finished inner spanners.
+    fn peak_pass_bytes(&self) -> usize {
+        let (mut pass1, mut pass2) = (0, 0);
+        for out in self.spanners().filter_map(TwoPassSpanner::output) {
+            pass1 += out.stats.pass1_bytes;
+            pass2 += out.stats.pass2_bytes;
         }
-        for (mine, theirs) in self.sample_spanners.iter_mut().zip(&other.sample_spanners) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge_pass_state(b);
-            }
-        }
+        pass1.max(pass2)
     }
 
     /// Assembles the sparsifier after both passes.
@@ -195,9 +207,9 @@ impl TwoPassSparsifier {
     }
 
     /// Assembles the sparsifier after both passes **without consuming**
-    /// the pipeline — the retaining-mode accessor: the instance (and
-    /// every inner spanner's linear state) stays alive to be
-    /// [`patch`](TwoPassSparsifier::patch)ed to the next segment.
+    /// the pipeline: the instance (and every inner spanner's linear
+    /// state) stays alive to be [`patch`](TwoPassSparsifier::patch)ed to
+    /// the next segment.
     ///
     /// Returns `None` if the passes did not run. The weight accumulation
     /// runs in the same deterministic order as always (estimate rows in
@@ -247,26 +259,9 @@ impl TwoPassSparsifier {
         Some(PipelineOutput { sparsifier, stats })
     }
 
-    /// Switches every inner spanner into retaining mode (see
-    /// [`TwoPassSpanner::retaining`]): after a run, the pipeline holds
-    /// all pass-facing linear state and can be patched across epochs.
-    pub fn retaining(mut self) -> Self {
-        for row in &mut self.estimate_spanners {
-            for alg in row {
-                alg.set_retaining();
-            }
-        }
-        for row in &mut self.sample_spanners {
-            for alg in row {
-                alg.set_retaining();
-            }
-        }
-        self
-    }
-
-    /// Advances a completed retaining-mode run to a nearby segment,
-    /// returning output **bit-identical** to a from-scratch
-    /// [`run_sparsifier_net`] over `cur`.
+    /// Advances a completed run to the segment `cur`, returning output
+    /// **bit-identical** to a from-scratch [`build`](Self::build) over
+    /// `cur`, at any churn.
     ///
     /// The pipeline is a bank of two-pass spanners behind deterministic
     /// subsample filters, so the delta routes: each inner spanner receives
@@ -283,8 +278,8 @@ impl TwoPassSparsifier {
     ///
     /// # Panics
     ///
-    /// Panics if the pipeline has not completed both passes, is not in
-    /// retaining mode, or `cur` disagrees on the vertex count.
+    /// Panics if the pipeline has not completed both passes, or `cur`
+    /// disagrees on the vertex count.
     pub fn patch<M>(&mut self, delta: &SegmentDelta, cur: &M) -> PipelineOutput
     where
         M: dsg_graph::EdgeMultiset + ?Sized,
@@ -313,7 +308,7 @@ impl TwoPassSparsifier {
                 alg.patch(&sub, &FilteredMultiset::new(cur, pred));
             }
         }
-        self.stats.sketch_bytes = self.stats.sketch_bytes.max(self.space_bytes());
+        self.stats.sketch_bytes = self.peak_pass_bytes();
         self.assemble().expect("patched pipeline completed")
     }
 }
@@ -365,8 +360,8 @@ impl StreamAlgorithm for TwoPassSparsifier {
                 alg.end_pass(pass);
             }
         }
-        self.stats.sketch_bytes = self.stats.sketch_bytes.max(self.space_bytes());
         if pass == 1 {
+            self.stats.sketch_bytes = self.peak_pass_bytes();
             self.finished = true;
         }
     }
@@ -374,79 +369,15 @@ impl StreamAlgorithm for TwoPassSparsifier {
 
 impl SpaceUsage for TwoPassSparsifier {
     fn space_bytes(&self) -> usize {
-        let est: usize = self
-            .estimate_spanners
-            .iter()
-            .map(|row| row.iter().map(SpaceUsage::space_bytes).sum::<usize>())
-            .sum();
-        let smp: usize = self
-            .sample_spanners
-            .iter()
-            .map(|row| row.iter().map(SpaceUsage::space_bytes).sum::<usize>())
-            .sum();
-        est + smp
+        self.spanners().map(SpaceUsage::space_bytes).sum()
     }
-}
-
-/// Convenience: runs the streaming sparsifier over a stream.
-///
-/// # Examples
-///
-/// ```no_run
-/// use dsg_graph::{gen, GraphStream};
-/// use dsg_sparsifier::{pipeline, SparsifierParams};
-///
-/// let g = gen::erdos_renyi(48, 0.3, 1);
-/// let stream = GraphStream::with_churn(&g, 0.5, 2);
-/// let out = pipeline::run_sparsifier(&stream, SparsifierParams::new(2, 0.5, 3));
-/// println!("{} edges", out.sparsifier.num_edges());
-/// ```
-pub fn run_sparsifier(stream: &GraphStream, params: SparsifierParams) -> PipelineOutput {
-    let mut alg = TwoPassSparsifier::new(stream.num_vertices(), params);
-    dsg_graph::pass::run(&mut alg, stream);
-    alg.into_output().expect("both passes completed")
-}
-
-/// Runs the streaming sparsifier over a **net edge multiset** view — the
-/// generalized entry point the epoch/durability layers rebuild cut
-/// artifacts from in O(current edges) per pass.
-///
-/// Bit-identical to [`run_sparsifier`] on any raw stream with the same
-/// net effect: the pipeline is a bank of two-pass spanners behind
-/// deterministic subsample filters, so its per-pass state is linear
-/// exactly when theirs is, and the post-pass weighting (Algorithm 6) is a
-/// deterministic function of that state.
-pub fn run_sparsifier_net<M>(view: &M, params: SparsifierParams) -> PipelineOutput
-where
-    M: dsg_graph::EdgeMultiset + ?Sized,
-{
-    let mut alg = TwoPassSparsifier::new(view.num_vertices(), params);
-    dsg_graph::pass::run_multiset(&mut alg, view);
-    alg.into_output().expect("both passes completed")
-}
-
-/// [`run_sparsifier_net`] in retaining mode: same output (bit for bit),
-/// plus the pipeline instance holding every inner spanner's linear state
-/// — the seed of an O(changes) [`patch`](TwoPassSparsifier::patch) chain
-/// across epochs.
-pub fn run_sparsifier_net_retained<M>(
-    view: &M,
-    params: SparsifierParams,
-) -> (PipelineOutput, TwoPassSparsifier)
-where
-    M: dsg_graph::EdgeMultiset + ?Sized,
-{
-    let mut alg = TwoPassSparsifier::new(view.num_vertices(), params).retaining();
-    dsg_graph::pass::run_multiset(&mut alg, view);
-    let out = alg.assemble().expect("both passes completed");
-    (out, alg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kp12::measure_quality;
-    use dsg_graph::gen;
+    use dsg_graph::{gen, Edge, GraphStream};
 
     fn small_params(seed: u64) -> SparsifierParams {
         let mut p = SparsifierParams::new(2, 0.5, seed);
@@ -455,11 +386,24 @@ mod tests {
         p
     }
 
+    /// The raw-stream reference: both passes replayed update by update.
+    fn replay(stream: &GraphStream, params: SparsifierParams) -> PipelineOutput {
+        let mut alg = TwoPassSparsifier::new(stream.num_vertices(), params);
+        dsg_graph::pass::run(&mut alg, stream);
+        alg.into_output().expect("both passes ran")
+    }
+
+    fn built<M: dsg_graph::EdgeMultiset>(view: &M, params: SparsifierParams) -> PipelineOutput {
+        TwoPassSparsifier::build(view, params)
+            .into_output()
+            .expect("both passes ran")
+    }
+
     #[test]
     fn produces_connected_sparsifier_of_clique() {
         let g = gen::complete(24);
         let stream = GraphStream::insert_only(&g, 1);
-        let out = run_sparsifier(&stream, small_params(2));
+        let out = replay(&stream, small_params(2));
         assert!(out.sparsifier.num_edges() > 0, "empty sparsifier");
         assert_eq!(
             dsg_graph::components::num_components(&out.sparsifier.skeleton()),
@@ -472,7 +416,7 @@ mod tests {
     fn sparsifier_edges_are_graph_edges() {
         let g = gen::erdos_renyi(30, 0.4, 3);
         let stream = GraphStream::with_churn(&g, 0.5, 4);
-        let out = run_sparsifier(&stream, small_params(5));
+        let out = replay(&stream, small_params(5));
         for (e, _) in out.sparsifier.edges() {
             assert!(g.has_edge(e.u(), e.v()), "non-edge {e} in sparsifier");
         }
@@ -485,7 +429,7 @@ mod tests {
         // constants; this is a smoke bound).
         let g = gen::complete(24);
         let stream = GraphStream::insert_only(&g, 5);
-        let out = run_sparsifier(&stream, small_params(6));
+        let out = replay(&stream, small_params(6));
         let q = measure_quality(&g, &out.sparsifier);
         assert!(
             q.epsilon < 1.0,
@@ -502,8 +446,8 @@ mod tests {
         let g = gen::erdos_renyi(26, 0.3, 13);
         let stream = GraphStream::with_churn(&g, 1.5, 14);
         let params = small_params(15);
-        let raw = run_sparsifier(&stream, params);
-        let net = run_sparsifier_net(&stream.net_multiset(), params);
+        let raw = replay(&stream, params);
+        let net = built(&stream.net_multiset(), params);
         assert_eq!(raw.sparsifier, net.sparsifier);
         assert_eq!(raw.stats.observed_candidates, net.stats.observed_candidates);
     }
@@ -512,7 +456,7 @@ mod tests {
     fn compresses_dense_graphs() {
         let g = gen::complete(32);
         let stream = GraphStream::insert_only(&g, 7);
-        let out = run_sparsifier(&stream, small_params(8));
+        let out = replay(&stream, small_params(8));
         assert!(
             out.sparsifier.num_edges() < g.num_edges(),
             "{} vs {}",
@@ -525,24 +469,52 @@ mod tests {
     fn stats_populated() {
         let g = gen::erdos_renyi(20, 0.4, 9);
         let stream = GraphStream::insert_only(&g, 10);
-        let out = run_sparsifier(&stream, small_params(11));
+        let out = replay(&stream, small_params(11));
         assert!(out.stats.sketch_bytes > 0);
         assert!(out.stats.estimate_instances > 0);
         assert!(out.stats.sample_instances > 0);
     }
 
     #[test]
-    fn retained_run_and_assemble_match_plain_run() {
-        let g = gen::erdos_renyi(24, 0.35, 21);
-        let net = GraphStream::with_churn(&g, 1.0, 22).net_multiset();
+    fn build_matches_replay_stats_and_full_replacement_patch() {
+        // `build` keeps every inner spanner's pass state, but the sketch
+        // bytes it reports are those of a replay of the raw stream, so
+        // the space tables do not depend on which one ran.
         let params = small_params(23);
-        let plain = run_sparsifier_net(&net, params);
-        let (kept, alg) = run_sparsifier_net_retained(&net, params);
-        assert_eq!(plain.sparsifier, kept.sparsifier);
+        let g = gen::erdos_renyi(24, 0.35, 21);
+        let stream = GraphStream::with_churn(&g, 1.0, 22);
+        let raw = replay(&stream, params);
+        let prev_net = stream.net_multiset();
+        let mut alg = TwoPassSparsifier::build(&prev_net, params);
+        let net = alg.assemble().expect("both passes ran");
+        assert_eq!(raw.stats.sketch_bytes, net.stats.sketch_bytes);
+        assert!(net.stats.sketch_bytes > 0);
+        assert_eq!(raw.sparsifier, net.sparsifier);
         // Assembly is repeatable: same state, same bits.
         assert_eq!(
-            alg.assemble().expect("finished").sparsifier,
-            plain.sparsifier
+            alg.assemble().expect("both passes ran").sparsifier,
+            raw.sparsifier
+        );
+
+        // Every live edge deleted and as many fresh ones inserted: every
+        // inner spanner whose filter keeps an edge of either segment is
+        // patched, and the result must equal a build of the new segment.
+        let fresh: Vec<Edge> = (0..24u32)
+            .flat_map(|u| ((u + 1)..24).map(move |v| Edge::new(u, v)))
+            .filter(|e| !g.has_edge(e.u(), e.v()))
+            .take(g.num_edges())
+            .collect();
+        assert_eq!(fresh.len(), g.num_edges());
+        let cur_net = GraphStream::insert_only(&Graph::from_edges(24, fresh), 27).net_multiset();
+        let delta = cur_net.diff(&prev_net);
+        assert_eq!(delta.num_changes(), 2 * g.num_edges());
+        let patched = alg.patch(&delta, &cur_net);
+        let full = built(&cur_net, params);
+        assert_eq!(patched.sparsifier, full.sparsifier);
+        assert_eq!(patched.stats.sketch_bytes, full.stats.sketch_bytes);
+        assert_eq!(
+            patched.stats.observed_candidates,
+            full.stats.observed_candidates
         );
     }
 
@@ -581,9 +553,9 @@ mod tests {
             let delta = cur_net.diff(&prev_net);
             assert!(!delta.is_empty());
 
-            let (_, mut alg) = run_sparsifier_net_retained(&prev_net, params);
+            let mut alg = TwoPassSparsifier::build(&prev_net, params);
             let patched = alg.patch(&delta, &cur_net);
-            let full = run_sparsifier_net(&cur_net, params);
+            let full = built(&cur_net, params);
             assert_eq!(patched.sparsifier, full.sparsifier, "stride {kill_stride}");
             assert_eq!(
                 patched.stats.observed_candidates,

@@ -1,7 +1,6 @@
 //! Integration tests for the extension APIs: spanner-backed distance
-//! oracles (the KP12 contract), the weighted sparsifier, and the JL
-//! resistance estimator — each driven through the public crate APIs on
-//! streamed inputs.
+//! oracles (the KP12 contract) and the JL resistance estimator — each
+//! driven through the public crate APIs on streamed inputs.
 
 use dsg_core::prelude::*;
 use dsg_spanner::oracle::DistanceOracle;
@@ -36,24 +35,6 @@ fn oracle_from_streamed_spanner_satisfies_kp12_contract() {
             }
         }
     }
-}
-
-#[test]
-fn weighted_sparsifier_end_to_end() {
-    let g = gen::with_random_weights(&gen::complete(16), 1.0, 4.0, 8);
-    let stream = GraphStream::weighted_with_churn(&g, 0.5, 9);
-    let mut params = SparsifierParams::new(2, 0.5, 10);
-    params.z_factor = 0.05;
-    params.j_factor = 0.4;
-    let mut alg = dsg_sparsifier::WeightedTwoPassSparsifier::new(16, 0.5, params);
-    dsg_graph::pass::run(&mut alg, &stream);
-    let out = alg.into_output().expect("finished");
-    assert!(out.sparsifier.num_edges() > 0);
-    let eps = dsg_sparsifier::spectral::spectral_epsilon(
-        &Laplacian::from_weighted(&g),
-        &Laplacian::from_weighted(&out.sparsifier),
-    );
-    assert!(eps < 1.0, "weighted sparsifier eps={eps}");
 }
 
 #[test]

@@ -11,7 +11,8 @@ use dsg_graph::components::UnionFind;
 use dsg_graph::{gen, GraphStream, StreamUpdate, Vertex};
 use dsg_service::{GraphConfig, GraphRegistry, LoadGen, Query, QueryMix, QueryService, Response};
 use dsg_spanner::oracle::DistanceOracle;
-use dsg_spanner::twopass;
+use dsg_spanner::TwoPassSpanner;
+use dsg_sparsifier::TwoPassSparsifier;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -39,7 +40,9 @@ fn offline_forest(
 /// Single-threaded ground-truth distance oracle over a frozen prefix.
 fn offline_oracle(config: &GraphConfig, prefix: &[StreamUpdate]) -> DistanceOracle {
     let stream = GraphStream::new(config.n, prefix.to_vec());
-    let out = twopass::run_two_pass(&stream, config.oracle_params());
+    let mut alg = TwoPassSpanner::new(config.n, config.oracle_params());
+    dsg_graph::pass::run(&mut alg, &stream);
+    let out = alg.into_output().expect("both passes ran");
     DistanceOracle::new(out.spanner, 1 << config.spanner_k)
 }
 
@@ -156,7 +159,9 @@ fn cut_estimates_match_offline_recompute() {
     };
 
     let prefix_stream = GraphStream::new(n, updates[..cut].to_vec());
-    let offline = dsg_sparsifier::pipeline::run_sparsifier(&prefix_stream, config.cut_params());
+    let mut alg = TwoPassSparsifier::new(n, config.cut_params());
+    dsg_graph::pass::run(&mut alg, &prefix_stream);
+    let offline = alg.into_output().expect("both passes ran");
     let mut in_side = vec![false; n];
     for &v in &side {
         in_side[v as usize] = true;
