@@ -17,9 +17,6 @@
 //!   the paper's Algorithm 3 to contract clusters), and edge-set subtraction
 //!   by linearity (used to remove `E_low` before the contracted forest is
 //!   computed).
-//! * [`certificate`] — k-edge-connectivity certificates by layered forests
-//!   (the AGM application the paper lists among "connectivity,
-//!   k-connectivity"); an extension beyond the paper's direct needs.
 //!
 //! # Examples
 //!
@@ -38,9 +35,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-pub mod certificate;
 pub mod forest;
 pub mod incidence;
 
-pub use certificate::KConnectivitySketch;
 pub use forest::{AgmSketch, ForestResult};

@@ -5,17 +5,20 @@
 //! segment diff between consecutive epochs is computable in one merge
 //! scan. Because the sketches are linear, applying the signed diff to the
 //! retained pass state reproduces the full-rebuild state **bit for bit**
-//! — so a low-churn epoch can refresh its artifacts by patching the
-//! previous epoch's instead of rebuilding from the whole segment.
+//! — so a low-churn epoch can refresh its forest and oracle by patching
+//! the previous epoch's instead of rebuilding from the whole segment. The
+//! cut Laplacian is the segment's own exact Laplacian, built in one
+//! O(live edges) scan on both sides; a splice would cost the same.
 //!
 //! The workload advances epochs over a dense live graph under batches of
 //! known churn. At each churn level a tenant chain patches every epoch
 //! from its predecessor, and each epoch is also built from scratch on a
 //! fresh tenant (no predecessor) fed the same live edges. The headline
-//! (asserted, not just printed): at 1% churn the patched refresh of all
-//! three artifacts is at least 5x faster than the full rebuild, with
-//! bit-identical forest edges, oracle rows, and cut values. Higher churn
-//! levels chart how the patch's lead narrows as the diff grows.
+//! (asserted, not just printed): at 1% churn the refresh of all three
+//! artifacts on the patching chain is at least 5x faster than the full
+//! rebuild, with bit-identical forest edges, oracle rows, and cut values.
+//! Higher churn levels chart how the patch's lead narrows as the diff
+//! grows.
 //!
 //! The advance itself is O(changes) too: the merged sketch is linear per
 //! vertex, so `advance_epoch` re-merges only the endpoints of the epoch's
@@ -36,7 +39,8 @@ use std::time::Instant;
 /// One churn level's measurement: medians over the trial epochs.
 #[derive(Debug, Clone, Copy)]
 pub struct RefreshSample {
-    /// Median wall time to refresh all three artifacts by patching, ms.
+    /// Median wall time to refresh all three artifacts on the patching
+    /// chain (forest and oracle patched, cut Laplacian built), ms.
     pub patch_ms: f64,
     /// Median wall time for the same refresh as full rebuilds, ms.
     pub rebuild_ms: f64,
@@ -109,7 +113,6 @@ fn assert_identical(patched: &EpochSnapshot, full: &EpochSnapshot, ctx: &str) {
         );
     }
     let (ca, cb) = (patched.cut_data(), full.cut_data());
-    assert_eq!(ca.sparsifier_edges, cb.sparsifier_edges, "{ctx}");
     let wa: Vec<u64> = ca
         .laplacian
         .edge_triples()
@@ -187,12 +190,13 @@ pub fn measure_refresh(n: usize, p: f64, churn_frac: f64, trials: usize) -> Refr
         );
     }
     // The two sides must really have split paths: every post-warmup
-    // refresh patched on one side and rebuilt on the other.
+    // forest and oracle refresh patched on one side and rebuilt on the
+    // other (the cut Laplacian has no patch path).
     let stats = patch_g.epoch_stats();
     assert_eq!(
         stats.incremental_builds,
-        (trials * 3) as u64,
-        "patch chain must patch every artifact every epoch"
+        (trials * 2) as u64,
+        "patch chain must patch the forest and oracle every epoch"
     );
     assert!(stats.last_patch_nanos > 0, "patch duration recorded");
     assert_eq!(
@@ -356,8 +360,8 @@ fn advance_table(scale: Scale) {
     );
 }
 
-/// E26: at 1% churn, patched artifact refresh is at least 5x faster than
-/// a full rebuild — with bit-identical answers at every churn level —
+/// E26: at 1% churn, the patching chain's artifact refresh is at least 5x
+/// faster than a full rebuild — with bit-identical answers at every churn level —
 /// and the advance that precedes it re-merges only the touched vertices.
 pub fn incremental(scale: Scale) {
     let n = scale.pick(200usize, 110);
@@ -405,7 +409,7 @@ pub fn incremental(scale: Scale) {
     println!(
         "1% churn ({} changes over {} live edges): patched refresh {speedup:.1}x faster than \
          full rebuild, all answers bit-identical ✓ — higher churn narrows the lead, and the \
-         service patches at every churn level\n",
+         service patches the forest and oracle at every churn level\n",
         s.delta_changes, s.live_edges
     );
 

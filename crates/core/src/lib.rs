@@ -43,6 +43,8 @@
 //! [`spanner`] and [`sparsifier`] for the paper's algorithms, and
 //! [`lowerbound`] for the Theorem-4 communication game.
 
+#![deny(clippy::unwrap_used)]
+
 pub use dsg_agm as agm;
 pub use dsg_graph as graph;
 pub use dsg_hash as hash;

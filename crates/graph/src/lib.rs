@@ -54,6 +54,6 @@ pub mod stream;
 pub use compact::{CompactError, CompactedLog};
 pub use graph::{Graph, WeightedGraph};
 pub use ids::{index_to_pair, pair_to_index, Edge, Vertex};
-pub use multiset::{EdgeMultiset, FilteredMultiset, NetEdge, NetMultiset, SegmentDelta};
+pub use multiset::{EdgeMultiset, NetEdge, NetMultiset, SegmentDelta};
 pub use pass::StreamAlgorithm;
 pub use stream::{GraphStream, StreamUpdate};

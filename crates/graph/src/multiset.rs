@@ -50,8 +50,7 @@ impl SegmentDelta {
         self.added.is_empty() && self.removed.is_empty() && self.reweighted.is_empty()
     }
 
-    /// Number of changed pairs — the `delta_size` the churn-threshold
-    /// patch-vs-rebuild decision compares against the live edge count.
+    /// Number of changed pairs.
     pub fn num_changes(&self) -> usize {
         self.added.len() + self.removed.len() + self.reweighted.len()
     }
@@ -77,68 +76,6 @@ impl SegmentDelta {
                 f(prev.edge, d, cur.weight);
             }
         }
-    }
-
-    /// The sub-delta of changed pairs whose canonical edge coordinate
-    /// (over `n` vertices) satisfies `pred` — how one segment delta is
-    /// routed to each member of a bank of filter-restricted algorithms
-    /// (e.g. the KP12 pipeline's subsampled inner spanners). Restricting
-    /// commutes with diffing: `filtered(diff(prev, cur)) ==
-    /// diff(filtered(prev), filtered(cur))`, because the filters are
-    /// deterministic functions of edge identity.
-    pub fn filtered(&self, n: usize, pred: &dyn Fn(u64) -> bool) -> SegmentDelta {
-        SegmentDelta {
-            added: self
-                .added
-                .iter()
-                .filter(|e| pred(e.edge.index(n)))
-                .copied()
-                .collect(),
-            removed: self
-                .removed
-                .iter()
-                .filter(|e| pred(e.edge.index(n)))
-                .copied()
-                .collect(),
-            reweighted: self
-                .reweighted
-                .iter()
-                .filter(|(p, _)| pred(p.edge.index(n)))
-                .copied()
-                .collect(),
-        }
-    }
-}
-
-/// A filter-restricted view of an [`EdgeMultiset`]: the sub-multiset of
-/// pairs whose canonical edge coordinate satisfies the predicate, without
-/// materializing it. The lazy counterpart of
-/// [`SegmentDelta::filtered`] for full segments — a bank algorithm hands
-/// each member the same base segment behind its own filter.
-pub struct FilteredMultiset<'a, M: ?Sized, P> {
-    base: &'a M,
-    pred: P,
-}
-
-impl<'a, M: EdgeMultiset + ?Sized, P: Fn(u64) -> bool> FilteredMultiset<'a, M, P> {
-    /// Restricts `base` to the pairs whose coordinate satisfies `pred`.
-    pub fn new(base: &'a M, pred: P) -> Self {
-        Self { base, pred }
-    }
-}
-
-impl<M: EdgeMultiset + ?Sized, P: Fn(u64) -> bool> EdgeMultiset for FilteredMultiset<'_, M, P> {
-    fn num_vertices(&self) -> usize {
-        self.base.num_vertices()
-    }
-
-    fn for_each_net_edge(&self, f: &mut dyn FnMut(NetEdge)) {
-        let n = self.base.num_vertices();
-        self.base.for_each_net_edge(&mut |e| {
-            if (self.pred)(e.edge.index(n)) {
-                f(e);
-            }
-        });
     }
 }
 

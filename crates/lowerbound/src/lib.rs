@@ -22,6 +22,8 @@
 //! success probability, and [`instance`] generates the hard distribution.
 //! Experiment E7 sweeps the space/success tradeoff the theorem predicts.
 
+#![deny(clippy::unwrap_used)]
+
 pub mod instance;
 pub mod protocol;
 

@@ -15,17 +15,18 @@
 //! * **distance oracle** — the two-pass `2^k`-spanner (Theorem 1) rebuilt
 //!   from the compacted segment, wrapped in the memoizing
 //!   [`DistanceOracle`]; backs distance and far/near queries;
-//! * **cut sparsifier** — the KP12 pipeline (Corollary 2) over the
-//!   compacted segment, reduced to its [`Laplacian`]; backs cut-value
-//!   estimates.
+//! * **cut Laplacian** — the exact [`Laplacian`] of the compacted
+//!   segment's live graph; backs cut-value queries, which it answers
+//!   exactly in one O(live edges) scan.
 //!
-//! Both multi-pass builders consume the **same** sealed segment (one
+//! The oracle and the cut Laplacian read the **same** sealed segment (one
 //! `Arc`, built once at epoch advance) — no per-artifact log
-//! materialization. Rebuilding from the net multiset is bit-identical to
-//! replaying the raw log, because each pass's stream-facing state is
-//! linear in the updates and everything between passes is a deterministic
-//! function of that state; `crates/service/tests/net_props.rs` asserts
-//! the order-insensitivity end to end.
+//! materialization. Rebuilding the oracle from the net multiset is
+//! bit-identical to replaying the raw log, because each pass's
+//! stream-facing state is linear in the updates and everything between
+//! passes is a deterministic function of that state;
+//! `crates/service/tests/net_props.rs` asserts the order-insensitivity
+//! end to end.
 //!
 //! The merged sketch of successive snapshots is structurally shared: an
 //! advance re-merges only the vertices its updates touched and points at
@@ -47,51 +48,10 @@ use dsg_graph::{Edge, Graph, NetMultiset, SegmentDelta, Vertex};
 use dsg_spanner::oracle::DistanceOracle;
 use dsg_spanner::TwoPassSpanner;
 use dsg_sparsifier::Laplacian;
-use dsg_sparsifier::TwoPassSparsifier;
 use dsg_telemetry::{trace, EventKind};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// Signed weight updates turning the previous epoch's sparsifier edge
-/// list into the new one — `(edge, 0.0)` deletes, any other entry sets
-/// the edge's new weight. Both inputs are sorted by edge, so one merge
-/// scan finds the differences; weights compare by bit pattern because
-/// the patched Laplacian must be bit-identical to a rebuilt one.
-fn laplacian_updates(prev: &Laplacian, new_edges: &[(Edge, f64)]) -> Vec<(Edge, f64)> {
-    let prev_triples = prev.edge_triples();
-    let mut updates = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < prev_triples.len() && j < new_edges.len() {
-        let (u, v, w) = prev_triples[i];
-        let pe = Edge::new(u, v);
-        let (ne, nw) = new_edges[j];
-        match pe.cmp(&ne) {
-            std::cmp::Ordering::Less => {
-                updates.push((pe, 0.0));
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                updates.push((ne, nw));
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                if w.to_bits() != nw.to_bits() {
-                    updates.push((pe, nw));
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    while i < prev_triples.len() {
-        let (u, v, _) = prev_triples[i];
-        updates.push((Edge::new(u, v), 0.0));
-        i += 1;
-    }
-    updates.extend_from_slice(&new_edges[j..]);
-    updates
-}
 
 /// The spanning forest of an epoch plus the component structure derived
 /// from it, so membership queries are O(1) after one decode.
@@ -106,13 +66,11 @@ pub struct ForestData {
     pub num_components: usize,
 }
 
-/// The cut-query artifact: the KP12 sparsifier collapsed to a Laplacian.
+/// The cut-query artifact: the exact Laplacian of the epoch's live graph.
 #[derive(Debug, Clone)]
 pub struct CutData {
-    /// Laplacian of the weighted sparsifier.
+    /// Laplacian of the sealed segment's live graph.
     pub laplacian: Laplacian,
-    /// Edges the sparsifier kept.
-    pub sparsifier_edges: usize,
 }
 
 /// Which artifacts of a snapshot have been built so far.
@@ -122,7 +80,7 @@ pub struct ArtifactStatus {
     pub forest: bool,
     /// Spanner-backed distance oracle.
     pub oracle: bool,
-    /// KP12 cut sparsifier.
+    /// Exact cut Laplacian.
     pub cut: bool,
 }
 
@@ -134,8 +92,8 @@ pub struct EpochSnapshot {
     total_updates: u64,
     sketch: AgmSketch,
     /// The compacted net edge segment sealed at the epoch boundary — the
-    /// single shared multi-pass input both the oracle and the cut
-    /// builders rebuild from (O(current edges), order-free).
+    /// single shared input both the oracle and the cut Laplacian are
+    /// built from (O(current edges), order-free).
     net: Arc<NetMultiset>,
     forest: OnceLock<Arc<ForestData>>,
     oracle: OnceLock<Arc<DistanceOracle>>,
@@ -155,8 +113,6 @@ pub struct EpochSnapshot {
     /// itself); a snapshot whose state was taken simply can no longer
     /// seed a second patch chain, which a depth-1 chain never needs.
     retained_spanner: Mutex<Option<Arc<TwoPassSpanner>>>,
-    /// Retained KP12 pipeline state, for the same reason.
-    retained_sparsifier: Mutex<Option<Arc<TwoPassSparsifier>>>,
     /// Telemetry handles for the artifact cells: build timings,
     /// build-once counters, cache hits, and the oracle's memo-cache
     /// counters. All-no-op for directly constructed snapshots.
@@ -186,7 +142,6 @@ impl EpochSnapshot {
             prev: Mutex::new(None),
             delta: OnceLock::new(),
             retained_spanner: Mutex::new(None),
-            retained_sparsifier: Mutex::new(None),
             metrics,
         }
     }
@@ -219,23 +174,6 @@ impl EpochSnapshot {
     /// already took it.
     fn take_retained_spanner(&self) -> Option<Arc<TwoPassSpanner>> {
         self.retained_spanner
-            .lock()
-            .expect("retained lock poisoned")
-            .take()
-    }
-
-    fn store_retained_sparsifier(&self, alg: TwoPassSparsifier) {
-        *self
-            .retained_sparsifier
-            .lock()
-            .expect("retained lock poisoned") = Some(Arc::new(alg));
-    }
-
-    /// Moves the retained KP12 pipeline state out for a successor's
-    /// patch; `None` if the cut was never built here or a successor
-    /// already took it.
-    fn take_retained_sparsifier(&self) -> Option<Arc<TwoPassSparsifier>> {
-        self.retained_sparsifier
             .lock()
             .expect("retained lock poisoned")
             .take()
@@ -443,8 +381,10 @@ impl EpochSnapshot {
         Some(Arc::new(oracle))
     }
 
-    /// The cut artifact, built on first use by running KP12 over the
-    /// same shared compacted segment the oracle consumes.
+    /// The cut artifact, built on first use: the exact Laplacian of the
+    /// sealed segment's live graph. One O(live edges) build per epoch and
+    /// no patch path — splicing the segment diff into the previous
+    /// Laplacian would cost O(live edges) too.
     pub fn cut_data(&self) -> Arc<CutData> {
         if let Some(built) = self.cut.get() {
             self.metrics.cache_hits[ART_CUT].inc();
@@ -454,42 +394,11 @@ impl EpochSnapshot {
             let _t = self.metrics.build_nanos[ART_CUT].start_timer();
             self.metrics.builds[ART_CUT].inc();
             self.trace_build(ART_CUT);
-            if let Some(patched) = self.try_patch_cut() {
-                return patched;
-            }
             self.metrics.record_full(ART_CUT);
-            let alg = TwoPassSparsifier::build(self.net.as_ref(), self.config.cut_params());
-            let out = alg.assemble().expect("both passes ran");
-            self.store_retained_sparsifier(alg);
             Arc::new(CutData {
-                laplacian: Laplacian::from_weighted(&out.sparsifier),
-                sparsifier_edges: out.sparsifier.num_edges(),
+                laplacian: Laplacian::from_graph(&self.net.final_graph()),
             })
         }))
-    }
-
-    /// Attempts the O(changes) cut refresh: patch the predecessor's
-    /// retained KP12 pipeline with the diff (only the inner spanners
-    /// whose subsample filters intersect the diff do any work), then
-    /// splice the sparsifier's weight changes into the previous Laplacian
-    /// as ±w edge updates instead of rebuilding it with `from_weighted`.
-    fn try_patch_cut(&self) -> Option<Arc<CutData>> {
-        let prev = self.prev()?;
-        let prev_cut = Arc::clone(prev.cut.get()?);
-        let delta = self.delta_from(&prev);
-        let retained = prev.take_retained_sparsifier()?;
-        let started = Instant::now();
-        let mut alg = Arc::try_unwrap(retained).unwrap_or_else(|shared| (*shared).clone());
-        let out = alg.patch(delta.as_ref(), self.net.as_ref());
-        self.store_retained_sparsifier(alg);
-        let updates = laplacian_updates(&prev_cut.laplacian, out.sparsifier.edges());
-        let laplacian = prev_cut.laplacian.apply_edge_updates(updates);
-        let data = Arc::new(CutData {
-            laplacian,
-            sparsifier_edges: out.sparsifier.num_edges(),
-        });
-        self.record_patch(ART_CUT, started);
-        Some(data)
     }
 
     /// Records a successful patch: counters + histogram + shared tallies,
@@ -666,12 +575,12 @@ mod tests {
         let mut in_side = vec![false; 40];
         in_side[..20].fill(true);
         let truth = Laplacian::from_graph(&g).cut_value(&in_side);
-        // KP12 at laptop scale is approximate; the estimate must at least
-        // be positive for a dense random cut and within a loose factor.
-        assert!(est > 0.0, "cut estimate collapsed to zero (truth {truth})");
-        assert!(
-            est <= 3.0 * truth + 1e-9 && est >= truth / 3.0 - 1e-9,
-            "cut estimate {est} wildly off from {truth}"
+        // The served cut is the exact Laplacian of the sealed segment.
+        assert!(truth > 0.0, "a dense random cut must cross some edges");
+        assert_eq!(
+            est.to_bits(),
+            truth.to_bits(),
+            "served {est} vs exact {truth}"
         );
     }
 

@@ -15,10 +15,11 @@
 //!    stream prefix the epoch froze.
 //!
 //! Expensive derived objects — the spanning forest, the spanner-backed
-//! [`DistanceOracle`](dsg_spanner::oracle::DistanceOracle), the KP12
-//! sparsifier — are built **lazily, once per epoch**, behind [`Arc`]s in a
-//! per-snapshot artifact cache; advancing the epoch publishes a fresh
-//! snapshot and thereby invalidates the old artifacts wholesale.
+//! [`DistanceOracle`](dsg_spanner::oracle::DistanceOracle), the exact
+//! Laplacian of the sealed segment that answers cut queries — are built
+//! **lazily, once per epoch**, behind [`Arc`]s in a per-snapshot artifact
+//! cache; advancing the epoch publishes a fresh snapshot and thereby
+//! invalidates the old artifacts wholesale.
 //!
 //! [`GraphRegistry`] hosts many named graphs (multi-tenancy), and
 //! [`QueryService`] executes a typed [`Query`]/[`Response`] API on a
@@ -81,8 +82,10 @@ use dsg_sparsifier::SparsifierParams;
 
 /// Seed salt separating the epoch oracle's randomness from the sketches'.
 const ORACLE_SALT: u64 = 0x4F52_4143_4C45_5345; // "ORACLESE"
-/// Seed salt for the epoch cut sparsifier.
+/// Seed salt of the offline KP12 reproduction ([`GraphConfig::cut_params`]).
 const CUT_SALT: u64 = 0x4355_5453_5041_5253; // "CUTSPARS"
+/// Spectral precision of the offline KP12 reproduction.
+const CUT_EPS: f64 = 0.5;
 
 /// Shape of one served graph: stream size, sharding, and the parameters
 /// of the per-epoch derived artifacts.
@@ -90,29 +93,22 @@ const CUT_SALT: u64 = 0x4355_5453_5041_5253; // "CUTSPARS"
 pub struct GraphConfig {
     /// Number of vertices of the served graph.
     pub n: usize,
-    /// Shared root seed: shard sketches, the epoch oracle, and the epoch
-    /// sparsifier all derive their randomness from it.
+    /// Shared root seed: shard sketches and the epoch oracle derive their
+    /// randomness from it.
     pub seed: u64,
     /// Ingest shard (worker thread) count.
     pub shards: usize,
     /// Updates per engine batch.
     pub batch_size: usize,
-    /// Hierarchy depth `k` of the per-epoch spanners. The distance
-    /// oracle answers with stretch `2^k`, **and** the KP12 cut
-    /// sparsifier uses the same depth for its internal oracle (its
-    /// `λ = 2^k` knob, see [`GraphConfig::cut_params`]) — deeper
-    /// hierarchies mean looser distance answers but smaller sketches,
-    /// for both artifacts at once.
+    /// Hierarchy depth `k` of the per-epoch spanner: the distance oracle
+    /// answers with stretch `2^k` — deeper hierarchies mean looser
+    /// distance answers but smaller sketches.
     pub spanner_k: usize,
-    /// Target spectral precision of the per-epoch KP12 sparsifier that
-    /// backs cut queries.
-    pub cut_eps: f64,
 }
 
 impl GraphConfig {
     /// A config for graphs on `n` vertices with serving-friendly defaults:
-    /// 2 shards, batches of 256, a 4-spanner oracle (`k = 2`), and a
-    /// `0.5`-precision cut sparsifier.
+    /// 2 shards, batches of 256, and a 4-spanner oracle (`k = 2`).
     ///
     /// # Panics
     ///
@@ -125,7 +121,6 @@ impl GraphConfig {
             shards: 2,
             batch_size: 256,
             spanner_k: 2,
-            cut_eps: 0.5,
         }
     }
 
@@ -157,9 +152,7 @@ impl GraphConfig {
         self
     }
 
-    /// Sets the spanner hierarchy depth `k` — oracle stretch `2^k`, and
-    /// the KP12 cut sparsifier's internal oracle depth with it (see the
-    /// [`spanner_k`](GraphConfig::spanner_k) field docs).
+    /// Sets the spanner hierarchy depth `k` — oracle stretch `2^k`.
     ///
     /// # Panics
     ///
@@ -167,17 +160,6 @@ impl GraphConfig {
     pub fn spanner_k(mut self, k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
         self.spanner_k = k;
-        self
-    }
-
-    /// Sets the cut-sparsifier precision target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eps` is not in `(0, 1)`.
-    pub fn cut_eps(mut self, eps: f64) -> Self {
-        assert!(eps > 0.0 && eps < 1.0, "eps must be in (0, 1)");
-        self.cut_eps = eps;
         self
     }
 
@@ -189,10 +171,12 @@ impl GraphConfig {
         SpannerParams::new(self.spanner_k, self.seed ^ ORACLE_SALT)
     }
 
-    /// The exact KP12 parameters an epoch of this graph builds its cut
-    /// sparsifier with (see [`oracle_params`](GraphConfig::oracle_params)).
+    /// KP12 parameters for an offline two-pass sparsifier of this graph's
+    /// stream (experiment E8, the benchmark's `sparsifier.*` layer). The
+    /// service itself answers cut queries exactly, from the Laplacian of
+    /// the sealed segment, and never builds KP12.
     pub fn cut_params(&self) -> SparsifierParams {
-        SparsifierParams::new(self.spanner_k, self.cut_eps, self.seed ^ CUT_SALT)
+        SparsifierParams::new(self.spanner_k, CUT_EPS, self.seed ^ CUT_SALT)
     }
 }
 

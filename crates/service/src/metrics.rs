@@ -34,7 +34,7 @@ pub(crate) const ARTIFACTS: [&str; 3] = ["forest", "oracle", "laplacian"];
 pub(crate) const ART_FOREST: usize = 0;
 /// Index of the distance-oracle artifact.
 pub(crate) const ART_ORACLE: usize = 1;
-/// Index of the cut-sparsifier Laplacian artifact.
+/// Index of the exact cut-Laplacian artifact.
 pub(crate) const ART_CUT: usize = 2;
 
 /// Per-graph incremental-vs-full refresh tallies, kept in plain atomics

@@ -3,9 +3,9 @@
 //! [`Query`] names the read operations the paper's structures support:
 //! connectivity and same-component from the AGM spanning forest (Theorem
 //! 10), distance estimates and far/near threshold tests from the spanner
-//! oracle (Theorem 1, the `ESTIMATE` primitive of Algorithm 4), cut-value
-//! estimates from the KP12 sparsifier (Corollary 2, the cut queries of
-//! Goel–Kapralov–Post), and a stats probe. [`QueryService`] fans queries
+//! oracle (Theorem 1, the `ESTIMATE` primitive of Algorithm 4), exact
+//! cut values from the Laplacian of the epoch's sealed segment, and a
+//! stats probe. [`QueryService`] fans queries
 //! out to a pool of worker threads over the shared [`GraphRegistry`];
 //! each worker resolves the target graph's *current* epoch snapshot and
 //! executes against it, so workers never block ingest and ingest never
@@ -43,7 +43,8 @@ pub enum Query {
         /// The distance threshold.
         threshold: u32,
     },
-    /// Estimated weight of the cut separating `side` from the rest.
+    /// Weight of the cut separating `side` from the rest (exact: read off
+    /// the epoch's live graph).
     CutEstimate(Vec<Vertex>),
     /// Epoch / ingest / artifact diagnostics.
     Stats,

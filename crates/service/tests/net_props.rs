@@ -6,15 +6,16 @@
 //! permutations; insert/delete interleavings at different churn volumes)
 //! but equal net effect against each other and demand bit-identical
 //! epochs: sketch bytes, sealed segments, forest edges, component labels,
-//! oracle distances, and (deterministically) KP12 cut estimates. Plus the
-//! guard rail that makes cancellation sound: a deletion below net
+//! oracle distances, and cut values — which are exact. Plus the guard
+//! rail that makes cancellation sound: a deletion below net
 //! multiplicity zero is a typed, whole-batch-atomic error.
 
 use dsg_agm::AgmSketch;
 use dsg_engine::{merge_tree, EdgeUpdate, EngineConfig, ShardedEngine};
-use dsg_graph::{gen, Edge, GraphStream, StreamUpdate, Vertex};
+use dsg_graph::{gen, Edge, Graph, GraphStream, StreamUpdate, Vertex};
 use dsg_service::{EpochSnapshot, GraphConfig, GraphRegistry, Query, Response, ServiceError};
 use dsg_sketch::LinearSketch;
+use dsg_sparsifier::Laplacian;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -26,6 +27,28 @@ fn epoch_of(config: GraphConfig, updates: &[StreamUpdate]) -> Arc<dsg_service::E
     let served = reg.create("g", config).unwrap();
     served.apply(updates).unwrap();
     served.advance_epoch()
+}
+
+/// Served cuts are exact: on three fixed sides, the snapshot answers
+/// bit-for-bit what the Laplacian of the live graph `g` cuts.
+fn assert_cuts_exact(snap: &EpochSnapshot, g: &Graph) {
+    let exact = Laplacian::from_graph(g);
+    let n = g.num_vertices();
+    for shift in 0..3 {
+        let side: Vec<Vertex> = (0..n as Vertex).filter(|v| (v + shift) % 3 == 0).collect();
+        let mut in_side = vec![false; n];
+        for &v in &side {
+            in_side[v as usize] = true;
+        }
+        let Response::CutEstimate(served) = snap.execute(&Query::CutEstimate(side)).unwrap() else {
+            panic!("wrong response variant");
+        };
+        assert_eq!(
+            served.to_bits(),
+            exact.cut_value(&in_side).to_bits(),
+            "served cut {served} of side {shift} is not the exact cut"
+        );
+    }
 }
 
 proptest! {
@@ -88,12 +111,15 @@ proptest! {
         for u in 0..n as Vertex {
             prop_assert_eq!(oa.estimate(3, u), ob.estimate(3, u));
         }
+        assert_cuts_exact(&ea, &g);
+        assert_cuts_exact(&eb, &g);
     }
 
     /// Routing invariance up the whole stack: a multi-shard
     /// hash-partitioned graph and a single-threaded (1-shard) graph fed
     /// the same churn-heavy stream publish bit-identical epochs — sketch
-    /// bytes, sealed segment, forest, labels, oracle distances. The
+    /// bytes, sealed segment, forest, labels, oracle distances, exact
+    /// cuts. The
     /// engine's partition of the edge space must be unobservable in every
     /// served answer.
     #[test]
@@ -121,6 +147,8 @@ proptest! {
             prop_assert_eq!(om.estimate(u, (u + 7) % n as Vertex),
                 os.estimate(u, (u + 7) % n as Vertex));
         }
+        assert_cuts_exact(&multi, &g);
+        assert_cuts_exact(&single, &g);
     }
 
     /// The guard rail: a deletion that would drive net multiplicity below
@@ -164,37 +192,6 @@ proptest! {
     }
 }
 
-/// Cut estimates join the invariance contract: KP12 over the sealed
-/// segment is deterministic, so two interleavings with one net effect
-/// serve identical cut values — and so do two shard topologies of the
-/// same stream (the assembled epoch segment is canonical regardless of
-/// how the edge space was partitioned). One deterministic case (KP12 is
-/// too heavy for a 96-case property run).
-#[test]
-fn cut_estimates_invariant_under_interleavings_and_topology() {
-    let n = 28;
-    let g = gen::erdos_renyi(n, 0.2, 11);
-    let config = GraphConfig::new(n).seed(13).shards(2);
-    let ea = epoch_of(config, GraphStream::with_churn(&g, 0.5, 12).updates());
-    let eb = epoch_of(config, GraphStream::with_churn(&g, 2.5, 13).updates());
-    let ec = epoch_of(
-        GraphConfig::new(n).seed(13).shards(1),
-        GraphStream::with_churn(&g, 2.5, 13).updates(),
-    );
-    let side: Vec<Vertex> = (0..n as Vertex).filter(|v| v % 3 == 0).collect();
-    let Response::CutEstimate(a) = ea.execute(&Query::CutEstimate(side.clone())).unwrap() else {
-        panic!("wrong variant");
-    };
-    let Response::CutEstimate(b) = eb.execute(&Query::CutEstimate(side.clone())).unwrap() else {
-        panic!("wrong variant");
-    };
-    let Response::CutEstimate(c) = ec.execute(&Query::CutEstimate(side)).unwrap() else {
-        panic!("wrong variant");
-    };
-    assert_eq!(a, b, "cut estimate diverged across interleavings");
-    assert_eq!(a, c, "cut estimate diverged across shard topologies");
-}
-
 /// Builds every artifact of a snapshot, so the *next* epoch's builders
 /// find a patchable predecessor.
 fn touch_artifacts(snap: &EpochSnapshot) {
@@ -228,8 +225,7 @@ fn assert_bit_identical(a: &EpochSnapshot, b: &EpochSnapshot, ctx: &str) {
         );
     }
     let (ca, cb) = (a.cut_data(), b.cut_data());
-    assert_eq!(ca.sparsifier_edges, cb.sparsifier_edges, "{ctx}");
-    let bits = |l: &dsg_sparsifier::Laplacian| -> Vec<(Vertex, Vertex, u64)> {
+    let bits = |l: &Laplacian| -> Vec<(Vertex, Vertex, u64)> {
         l.edge_triples()
             .iter()
             .map(|&(u, v, w)| (u, v, w.to_bits()))
@@ -305,10 +301,11 @@ fn replace_all(live: &mut HashSet<Edge>, n: usize, rng: &mut u64) -> Vec<StreamU
     batch
 }
 
-/// The tentpole contract end to end: N successive epochs advanced
-/// incrementally (each patching the previous epoch's artifacts with the
-/// segment diff) are bit-identical — sketch bytes, forest, labels,
-/// oracle distances, cut Laplacian — to the same epochs each built from
+/// The incremental contract end to end: N successive epochs advanced
+/// incrementally (each patching the previous epoch's forest and oracle
+/// with the segment diff, and building its cut Laplacian from the
+/// segment) are bit-identical — sketch bytes, forest, labels, oracle
+/// distances, cut Laplacian — to the same epochs each built from
 /// scratch off the full stream, at several churn levels up to replacing
 /// every live edge (`frac` 1.0).
 #[test]
@@ -341,12 +338,13 @@ fn incremental_epoch_chain_matches_scratch_builds() {
                 &format!("chain epoch {epoch}, churn {frac}"),
             );
         }
-        // The chain must actually have exercised the patch path: every
-        // artifact of every post-warmup epoch patches, at any churn.
+        // The chain must actually have exercised the patch path: the
+        // forest and oracle of every post-warmup epoch patch, at any
+        // churn (the cut Laplacian has no patch path).
         let stats = chained.epoch_stats();
         assert_eq!(
-            stats.incremental_builds, 12,
-            "4 epochs x 3 artifacts patched (churn {frac})"
+            stats.incremental_builds, 8,
+            "4 epochs x 2 artifacts patched (churn {frac})"
         );
         assert!(stats.last_patch_nanos > 0, "patch duration recorded");
     }

@@ -138,86 +138,6 @@ impl Laplacian {
             .map(|&(u, v, _)| Edge::new(u, v))
             .collect()
     }
-
-    /// Applies a batch of rank-1 edge updates — `(edge, new_weight)` with
-    /// `new_weight == 0.0` meaning removal — returning the Laplacian of
-    /// the updated graph without rebuilding it from scratch: one
-    /// merge-splice of the sorted update list into the sorted edge list,
-    /// O(|edges| + |updates| log |updates|).
-    ///
-    /// **Bit-identity:** touched vertices' degrees are *re-accumulated in
-    /// canonical edge order* rather than adjusted by `±w`, so the result
-    /// is bit-for-bit the Laplacian [`from_weighted`] would build from
-    /// the updated graph — floating-point summation order never drifts
-    /// between the patched and rebuilt artifact. Untouched vertices keep
-    /// their degree bits, which are already the canonical-order sum (the
-    /// relative order of their incident weights is unchanged).
-    ///
-    /// [`from_weighted`]: Laplacian::from_weighted
-    ///
-    /// # Panics
-    ///
-    /// Panics if an update carries a negative weight.
-    pub fn apply_edge_updates<I>(&self, updates: I) -> Self
-    where
-        I: IntoIterator<Item = (Edge, f64)>,
-    {
-        let mut ups: Vec<(Edge, f64)> = updates.into_iter().collect();
-        ups.sort_unstable_by_key(|&(e, _)| e);
-        debug_assert!(
-            ups.windows(2).all(|w| w[0].0 < w[1].0),
-            "at most one update per edge"
-        );
-        let mut touched = vec![false; self.n];
-        let mut edges = Vec::with_capacity(self.edges.len() + ups.len());
-        let insert =
-            |edges: &mut Vec<(Vertex, Vertex, f64)>, touched: &mut Vec<bool>, e: Edge, w: f64| {
-                assert!(w >= 0.0, "negative weight for {e}");
-                touched[e.u() as usize] = true;
-                touched[e.v() as usize] = true;
-                if w > 0.0 {
-                    edges.push((e.u(), e.v(), w));
-                }
-            };
-        let mut i = 0;
-        for &(u, v, w) in &self.edges {
-            let here = Edge::new(u, v);
-            while i < ups.len() && ups[i].0 < here {
-                let (e, nw) = ups[i];
-                i += 1;
-                insert(&mut edges, &mut touched, e, nw);
-            }
-            if i < ups.len() && ups[i].0 == here {
-                let (e, nw) = ups[i];
-                i += 1;
-                insert(&mut edges, &mut touched, e, nw);
-            } else {
-                edges.push((u, v, w));
-            }
-        }
-        for &(e, nw) in &ups[i..] {
-            insert(&mut edges, &mut touched, e, nw);
-        }
-        let mut degree = self.degree.clone();
-        for (t, d) in degree.iter_mut().enumerate() {
-            if touched[t] {
-                *d = 0.0;
-            }
-        }
-        for &(u, v, w) in &edges {
-            if touched[u as usize] {
-                degree[u as usize] += w;
-            }
-            if touched[v as usize] {
-                degree[v as usize] += w;
-            }
-        }
-        Self {
-            n: self.n,
-            edges,
-            degree,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -292,74 +212,5 @@ mod tests {
         assert_eq!(l.degree(0), 5.0);
         assert_eq!(l.degree(1), 2.0);
         assert_eq!(l.total_weight(), 5.0);
-    }
-
-    #[test]
-    fn edge_updates_match_rebuild_bit_for_bit() {
-        let g = gen::with_random_weights(&gen::erdos_renyi(25, 0.3, 7), 0.5, 3.0, 8);
-        let l = Laplacian::from_weighted(&g);
-        // Remove some edges, reweight others, insert fresh non-edges.
-        let mut updates: Vec<(Edge, f64)> = Vec::new();
-        let mut new_edges: Vec<(Edge, f64)> = g.edges().to_vec();
-        for (i, &(e, w)) in g.edges().iter().enumerate() {
-            if i % 5 == 0 {
-                updates.push((e, 0.0));
-                new_edges.retain(|&(ne, _)| ne != e);
-            } else if i % 5 == 1 {
-                updates.push((e, w * 1.5));
-                new_edges.iter_mut().for_each(|p| {
-                    if p.0 == e {
-                        p.1 = w * 1.5;
-                    }
-                });
-            }
-        }
-        let have: std::collections::HashSet<Edge> = g.edges().iter().map(|&(e, _)| e).collect();
-        let mut added = 0;
-        'hunt: for u in 0..25u32 {
-            for v in (u + 1)..25 {
-                if !have.contains(&Edge::new(u, v)) {
-                    updates.push((Edge::new(u, v), 2.25));
-                    new_edges.push((Edge::new(u, v), 2.25));
-                    added += 1;
-                    if added >= 4 {
-                        break 'hunt;
-                    }
-                }
-            }
-        }
-        let patched = l.apply_edge_updates(updates);
-        let rebuilt = Laplacian::from_weighted(&WeightedGraph::from_edges(25, new_edges));
-        assert_eq!(patched.edge_triples(), rebuilt.edge_triples());
-        for v in 0..25u32 {
-            assert_eq!(
-                patched.degree(v).to_bits(),
-                rebuilt.degree(v).to_bits(),
-                "degree bits of {v}"
-            );
-        }
-        // And the artifact contract surface: identical cut values.
-        let s: Vec<bool> = (0..25).map(|i| i % 3 == 0).collect();
-        assert_eq!(
-            patched.cut_value(&s).to_bits(),
-            rebuilt.cut_value(&s).to_bits()
-        );
-    }
-
-    #[test]
-    fn empty_update_batch_is_identity() {
-        let g = gen::with_random_weights(&gen::cycle(10), 1.0, 2.0, 9);
-        let l = Laplacian::from_weighted(&g);
-        let same = l.apply_edge_updates(std::iter::empty());
-        assert_eq!(l.edge_triples(), same.edge_triples());
-        for v in 0..10u32 {
-            assert_eq!(l.degree(v).to_bits(), same.degree(v).to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "negative weight")]
-    fn negative_update_rejected() {
-        path3().apply_edge_updates([(Edge::new(0, 1), -1.0)]);
     }
 }

@@ -17,7 +17,7 @@
 use crate::estimate::{ConnectivityEstimator, NestedSamplers};
 use crate::kp12::SparsifierParams;
 use dsg_graph::stream::StreamUpdate;
-use dsg_graph::{FilteredMultiset, Graph, SegmentDelta, StreamAlgorithm, WeightedGraph};
+use dsg_graph::{Graph, StreamAlgorithm, WeightedGraph};
 use dsg_hash::{SeedTree, SubsetSampler};
 use dsg_spanner::{SpannerParams, TwoPassSpanner};
 use dsg_util::SpaceUsage;
@@ -48,8 +48,7 @@ pub struct PipelineOutput {
 }
 
 /// The two-pass streaming sparsifier. [`build`](Self::build) runs both
-/// passes over a net edge multiset and [`patch`](Self::patch) moves the
-/// finished pipeline to the next segment; it also implements
+/// passes over a net edge multiset; it also implements
 /// [`StreamAlgorithm`], so [`dsg_graph::pass::run`] drives it over a raw
 /// stream.
 #[derive(Debug, Clone)]
@@ -140,9 +139,8 @@ impl TwoPassSparsifier {
     }
 
     /// Runs both passes over the **net edge multiset** `view` and returns
-    /// the finished pipeline, every inner spanner holding its pass state
-    /// so the pipeline can be [`patch`](Self::patch)ed to the next
-    /// segment; [`assemble`](Self::assemble) yields the sparsifier.
+    /// the finished pipeline; [`into_output`](Self::into_output) yields the
+    /// sparsifier.
     ///
     /// Bit-identical to [`dsg_graph::pass::run`] over any raw stream with
     /// the same net effect: the pipeline is a bank of two-pass spanners
@@ -159,7 +157,7 @@ impl TwoPassSparsifier {
     /// let g = gen::erdos_renyi(48, 0.3, 1);
     /// let net = GraphStream::with_churn(&g, 0.5, 2).net_multiset();
     /// let alg = TwoPassSparsifier::build(&net, SparsifierParams::new(2, 0.5, 3));
-    /// let out = alg.assemble().expect("both passes ran");
+    /// let out = alg.into_output().expect("both passes ran");
     /// println!("{} edges", out.sparsifier.num_edges());
     /// ```
     ///
@@ -202,21 +200,11 @@ impl TwoPassSparsifier {
     /// Assembles the sparsifier after both passes.
     ///
     /// Consumes the pipeline; returns `None` if the passes did not run.
+    /// The weight accumulation runs in a deterministic order (estimate
+    /// rows in `j` then `t` order; sample rows in `s` then level order,
+    /// observed edges in their recorded order), so equal pass states give
+    /// bit-identical sparsifiers.
     pub fn into_output(self) -> Option<PipelineOutput> {
-        self.assemble()
-    }
-
-    /// Assembles the sparsifier after both passes **without consuming**
-    /// the pipeline: the instance (and every inner spanner's linear
-    /// state) stays alive to be [`patch`](TwoPassSparsifier::patch)ed to
-    /// the next segment.
-    ///
-    /// Returns `None` if the passes did not run. The weight accumulation
-    /// runs in the same deterministic order as always (estimate rows in
-    /// `j` then `t` order; sample rows in `s` then level order, observed
-    /// edges in their recorded order), so repeated assembly of the same
-    /// state is bit-identical.
-    pub fn assemble(&self) -> Option<PipelineOutput> {
         if !self.finished {
             return None;
         }
@@ -257,59 +245,6 @@ impl TwoPassSparsifier {
         let sparsifier =
             WeightedGraph::from_edges(self.n, weights.into_iter().filter(|&(_, w)| w > 0.0));
         Some(PipelineOutput { sparsifier, stats })
-    }
-
-    /// Advances a completed run to the segment `cur`, returning output
-    /// **bit-identical** to a from-scratch [`build`](Self::build) over
-    /// `cur`, at any churn.
-    ///
-    /// The pipeline is a bank of two-pass spanners behind deterministic
-    /// subsample filters, so the delta routes: each inner spanner receives
-    /// the sub-delta surviving its filter (restriction commutes with
-    /// diffing — the filters are functions of edge identity) and patches
-    /// itself in O(its changes); a spanner whose sub-delta is empty is
-    /// skipped outright, its state and output already being exactly those
-    /// of a full rebuild. The final weighting (Algorithm 6) is recomputed
-    /// by [`assemble`](TwoPassSparsifier::assemble) — a deterministic
-    /// function of bit-identical inner states.
-    ///
-    /// `delta` must be `cur.diff(&prev)` for the segment `prev` this
-    /// pipeline currently represents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has not completed both passes, or `cur`
-    /// disagrees on the vertex count.
-    pub fn patch<M>(&mut self, delta: &SegmentDelta, cur: &M) -> PipelineOutput
-    where
-        M: dsg_graph::EdgeMultiset + ?Sized,
-    {
-        assert!(self.finished, "patch requires a completed run");
-        assert_eq!(cur.num_vertices(), self.n, "vertex count mismatch");
-        let nested = &self.nested;
-        for (j, row) in self.estimate_spanners.iter_mut().enumerate() {
-            for (t0, alg) in row.iter_mut().enumerate() {
-                let pred = |coord: u64| nested.contains(j, t0 + 1, coord);
-                let sub = delta.filtered(self.n, &pred);
-                if sub.is_empty() {
-                    continue;
-                }
-                alg.patch(&sub, &FilteredMultiset::new(cur, pred));
-            }
-        }
-        let filters = &self.sample_filters;
-        for (s, row) in self.sample_spanners.iter_mut().enumerate() {
-            for (j0, alg) in row.iter_mut().enumerate() {
-                let pred = |coord: u64| filters[s][j0].contains(coord);
-                let sub = delta.filtered(self.n, &pred);
-                if sub.is_empty() {
-                    continue;
-                }
-                alg.patch(&sub, &FilteredMultiset::new(cur, pred));
-            }
-        }
-        self.stats.sketch_bytes = self.peak_pass_bytes();
-        self.assemble().expect("patched pipeline completed")
     }
 }
 
@@ -377,7 +312,7 @@ impl SpaceUsage for TwoPassSparsifier {
 mod tests {
     use super::*;
     use crate::kp12::measure_quality;
-    use dsg_graph::{gen, Edge, GraphStream};
+    use dsg_graph::{gen, GraphStream};
 
     fn small_params(seed: u64) -> SparsifierParams {
         let mut p = SparsifierParams::new(2, 0.5, seed);
@@ -476,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_replay_stats_and_full_replacement_patch() {
+    fn build_matches_replay_stats() {
         // `build` keeps every inner spanner's pass state, but the sketch
         // bytes it reports are those of a replay of the raw stream, so
         // the space tables do not depend on which one ran.
@@ -484,83 +419,9 @@ mod tests {
         let g = gen::erdos_renyi(24, 0.35, 21);
         let stream = GraphStream::with_churn(&g, 1.0, 22);
         let raw = replay(&stream, params);
-        let prev_net = stream.net_multiset();
-        let mut alg = TwoPassSparsifier::build(&prev_net, params);
-        let net = alg.assemble().expect("both passes ran");
+        let net = built(&stream.net_multiset(), params);
         assert_eq!(raw.stats.sketch_bytes, net.stats.sketch_bytes);
         assert!(net.stats.sketch_bytes > 0);
         assert_eq!(raw.sparsifier, net.sparsifier);
-        // Assembly is repeatable: same state, same bits.
-        assert_eq!(
-            alg.assemble().expect("both passes ran").sparsifier,
-            raw.sparsifier
-        );
-
-        // Every live edge deleted and as many fresh ones inserted: every
-        // inner spanner whose filter keeps an edge of either segment is
-        // patched, and the result must equal a build of the new segment.
-        let fresh: Vec<Edge> = (0..24u32)
-            .flat_map(|u| ((u + 1)..24).map(move |v| Edge::new(u, v)))
-            .filter(|e| !g.has_edge(e.u(), e.v()))
-            .take(g.num_edges())
-            .collect();
-        assert_eq!(fresh.len(), g.num_edges());
-        let cur_net = GraphStream::insert_only(&Graph::from_edges(24, fresh), 27).net_multiset();
-        let delta = cur_net.diff(&prev_net);
-        assert_eq!(delta.num_changes(), 2 * g.num_edges());
-        let patched = alg.patch(&delta, &cur_net);
-        let full = built(&cur_net, params);
-        assert_eq!(patched.sparsifier, full.sparsifier);
-        assert_eq!(patched.stats.sketch_bytes, full.stats.sketch_bytes);
-        assert_eq!(
-            patched.stats.observed_candidates,
-            full.stats.observed_candidates
-        );
-    }
-
-    #[test]
-    fn patch_is_bit_identical_to_full_rebuild() {
-        // Light and heavy churn alike: the patched pipeline must equal a
-        // from-scratch run on the new segment, weights and all.
-        let params = small_params(31);
-        let g = gen::erdos_renyi(24, 0.4, 32);
-        let prev_net = GraphStream::insert_only(&g, 33).net_multiset();
-        for (kill_stride, add_seed) in [(7usize, 34u64), (2, 35)] {
-            // Drop every `kill_stride`-th edge, add a few fresh non-edges.
-            let mut edges: Vec<dsg_graph::Edge> = g
-                .edges()
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % kill_stride != 0)
-                .map(|(_, e)| *e)
-                .collect();
-            let have: std::collections::HashSet<dsg_graph::Edge> = edges.iter().copied().collect();
-            let mut added = 0;
-            'hunt: for u in 0..24u32 {
-                for v in (u + 1)..24 {
-                    let e = dsg_graph::Edge::new(u, v);
-                    if !g.has_edge(u, v) && !have.contains(&e) {
-                        edges.push(e);
-                        added += 1;
-                        if added >= 5 {
-                            break 'hunt;
-                        }
-                    }
-                }
-            }
-            let cur = Graph::from_edges(24, edges);
-            let cur_net = GraphStream::insert_only(&cur, add_seed).net_multiset();
-            let delta = cur_net.diff(&prev_net);
-            assert!(!delta.is_empty());
-
-            let mut alg = TwoPassSparsifier::build(&prev_net, params);
-            let patched = alg.patch(&delta, &cur_net);
-            let full = built(&cur_net, params);
-            assert_eq!(patched.sparsifier, full.sparsifier, "stride {kill_stride}");
-            assert_eq!(
-                patched.stats.observed_candidates,
-                full.stats.observed_candidates
-            );
-        }
     }
 }

@@ -9,7 +9,7 @@
 //! engine's hash partition ([`dsg_engine::shard_for`]):
 //!
 //! ```text
-//! n, seed, shards, batch_size, spanner_k (u64 each), cut_eps (f64 bits)
+//! n, seed, shards, batch_size, spanner_k (u64 each), reserved (f64 bits)
 //! epoch, total_updates (u64 each)
 //! wal segment, wal offset (u64 each)
 //! shard count (u64); then per shard, in shard order:
@@ -24,15 +24,21 @@
 //! recovery re-seeds each worker's sketch *and* compacted log from its
 //! own frame pair, feeds the tail through the restored engine and, by
 //! linearity, lands bit-identically where an uninterrupted run would be.
-//! The segments ride along because the service's multi-pass epoch
-//! artifacts (spanner oracle, KP12 sparsifier) rebuild from the stream's
-//! net edge multiset — assembled by concatenating the disjoint shard
-//! segments — which, again by linearity, is *all* of the stream they can
-//! observe. With hash-partitioned routing the per-shard frames are
+//! The segments ride along because the service's segment-built epoch
+//! artifacts (spanner oracle, exact cut Laplacian) rebuild from the
+//! stream's net edge multiset — assembled by concatenating the disjoint
+//! shard segments — which, again by linearity, is *all* of the stream
+//! they can observe. With hash-partitioned routing the per-shard frames are
 //! canonical by construction (each is a deterministic function of the net
 //! sub-stream its shard owns), so checkpoint size is O(live graph), not
 //! O(stream length) (see DESIGN.md, "Partitioning by edge identity"),
 //! and the sorted-entry encoding makes equal states produce equal bytes.
+//!
+//! The `reserved` slot held the retired cut-sparsifier precision
+//! (`cut_eps`). It keeps the v3 layout: `encode` writes 0.5 there, and
+//! `decode` still rejects a value outside `(0, 1)` — checkpoint bytes
+//! are untrusted input — then ignores it, so files that carried any
+//! valid precision still load.
 //!
 //! Two retired layouts are rejected with the loud, typed
 //! [`StoreError::LegacyCheckpoint`] — never misread, never silently
@@ -100,6 +106,10 @@ impl Checkpoint {
     }
 }
 
+/// What [`encode`] writes into the reserved former `cut_eps` slot: the
+/// only value that slot ever held in practice.
+const RESERVED_CUT_EPS: f64 = 0.5;
+
 /// On-disk size of one net-segment entry: two `u32` endpoints, a `u32`
 /// multiplicity, and the `f64` weight bits.
 const NET_ENTRY_BYTES: usize = 20;
@@ -115,7 +125,7 @@ fn encode(cp: &Checkpoint) -> Vec<u8> {
     wire::put_u64(&mut payload, cp.config.shards as u64);
     wire::put_u64(&mut payload, cp.config.batch_size as u64);
     wire::put_u64(&mut payload, cp.config.spanner_k as u64);
-    wire::put_u64(&mut payload, cp.config.cut_eps.to_bits());
+    wire::put_u64(&mut payload, RESERVED_CUT_EPS.to_bits());
     wire::put_u64(&mut payload, cp.epoch);
     wire::put_u64(&mut payload, cp.total_updates);
     wire::put_u64(&mut payload, cp.wal_pos.segment);
@@ -150,7 +160,7 @@ fn decode(bytes: &[u8]) -> Result<Checkpoint, WireError> {
     let shards = r.u64()? as usize;
     let batch_size = r.u64()? as usize;
     let spanner_k = r.u64()? as usize;
-    let cut_eps = f64::from_bits(r.u64()?);
+    let reserved_cut_eps = f64::from_bits(r.u64()?);
     // Validate before calling the panicking GraphConfig builders.
     if n < 2 {
         return Err(WireError::Malformed("checkpoint n below 2"));
@@ -158,15 +168,14 @@ fn decode(bytes: &[u8]) -> Result<Checkpoint, WireError> {
     if shards == 0 || batch_size == 0 || spanner_k == 0 {
         return Err(WireError::Malformed("zero shard/batch/spanner parameter"));
     }
-    if !(cut_eps > 0.0 && cut_eps < 1.0) {
+    if !(reserved_cut_eps > 0.0 && reserved_cut_eps < 1.0) {
         return Err(WireError::Malformed("cut_eps outside (0, 1)"));
     }
     let config = GraphConfig::new(n)
         .seed(seed)
         .shards(shards)
         .batch_size(batch_size)
-        .spanner_k(spanner_k)
-        .cut_eps(cut_eps);
+        .spanner_k(spanner_k);
     let epoch = r.u64()?;
     let total_updates = r.u64()?;
     let wal_pos = WalPosition {
@@ -473,6 +482,34 @@ mod tests {
             decode(&bad),
             Err(WireError::Malformed("net entry with zero multiplicity"))
         ));
+    }
+
+    #[test]
+    fn reserved_cut_eps_slot_is_validated_then_ignored() {
+        // The former `cut_eps` slot is the sixth u64 of the payload.
+        let slot = wire::HEADER_BYTES + 5 * 8;
+        let with_slot = |value: f64| {
+            let mut bytes = encode(&single_shard_checkpoint());
+            bytes[slot..slot + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+            let sum = wire::checksum(&bytes[wire::HEADER_BYTES..]);
+            bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+            bytes
+        };
+        assert_eq!(
+            with_slot(RESERVED_CUT_EPS),
+            encode(&single_shard_checkpoint())
+        );
+        // Untrusted bytes: an impossible precision is still malformed.
+        for bad in [0.0, f64::NAN] {
+            assert!(matches!(
+                decode(&with_slot(bad)),
+                Err(WireError::Malformed("cut_eps outside (0, 1)"))
+            ));
+        }
+        // A v3 file written with any other valid precision still loads.
+        let back = decode(&with_slot(0.25)).unwrap();
+        assert_eq!(back.config, single_shard_checkpoint().config);
+        assert_eq!(back.epoch_net(), single_shard_checkpoint().epoch_net());
     }
 
     #[test]

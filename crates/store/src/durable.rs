@@ -840,7 +840,7 @@ mod tests {
         assert_eq!(report.checkpoint_epoch, 0);
         assert!(report.records_replayed >= 4); // 2 batches + 2 markers
         assert!(
-            report.quality.samples >= 5 && report.quality.clean(),
+            report.quality.samples >= 6 && report.quality.clean(),
             "recovered epoch must pass the self-audit: {:?}",
             report.quality
         );

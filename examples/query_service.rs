@@ -76,8 +76,8 @@ fn main() {
 
     // Serve a deterministic mixed workload through the worker pool.
     let pool = QueryService::start(Arc::clone(&registry), 4);
-    // Cut queries are issued explicitly below (one KP12 build is plenty
-    // for an example); the pool workload covers the rest of the mix.
+    // Cut queries are issued explicitly below, on the small tenant; the
+    // pool workload covers the rest of the mix.
     let mix = QueryMix {
         cut: 0,
         ..QueryMix::read_heavy()
@@ -134,8 +134,8 @@ fn main() {
         oracle.cache_stats(),
     );
 
-    // One explicit cut estimate on the small tenant (builds the KP12
-    // artifact for its current epoch, lazily, exactly once).
+    // One explicit cut on the small tenant (builds the exact cut
+    // Laplacian for its current epoch, lazily, exactly once).
     let side: Vec<Vertex> = (0..20).collect();
     let Ok(Response::CutEstimate(cut_weight)) =
         pool.query_blocking("roads", Query::CutEstimate(side))

@@ -1,7 +1,7 @@
 //! Integration tests for AGM spanning-forest sketches under streaming
 //! churn, contraction and distribution (Theorem 10's role).
 
-use dsg_agm::{AgmSketch, KConnectivitySketch};
+use dsg_agm::AgmSketch;
 use dsg_core::prelude::*;
 use dsg_graph::components::{is_spanning_forest, num_components};
 
@@ -74,32 +74,6 @@ fn contraction_matches_algorithm3_pattern() {
             1,
             "edge {e} not between adjacent rows"
         );
-    }
-}
-
-#[test]
-fn k_connectivity_certificate_on_stream() {
-    let g = gen::complete(14);
-    let stream = GraphStream::with_churn(&g, 1.0, 10);
-    let mut sk = KConnectivitySketch::new(14, 3, 11);
-    for up in stream.updates() {
-        sk.update(up.edge, up.delta as i128);
-    }
-    let cert = sk.certificate();
-    let edge_set = g.edge_set();
-    assert!(cert.iter().all(|e| edge_set.contains(e)));
-    assert!(cert.len() <= 3 * 13);
-    // The certificate of a highly-connected graph keeps 2-connectivity:
-    // drop any single edge and stay connected.
-    for skip in 0..cert.len() {
-        let reduced: Vec<Edge> = cert
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != skip)
-            .map(|(_, e)| *e)
-            .collect();
-        let h = Graph::from_edges(14, reduced);
-        assert_eq!(num_components(&h), 1);
     }
 }
 
