@@ -260,59 +260,8 @@ impl AgmSketch {
         self.extract_forest(&mut uf)
     }
 
-    /// Extracts a spanning forest touching only the *active* vertices,
-    /// splicing in `kept_edges` — forest edges from a previous extraction
-    /// whose components the caller knows the update delta did not touch.
-    ///
-    /// `kept_edges` are unioned up front (pre-merging every untouched
-    /// component) and copied into the result; Borůvka then runs with
-    /// per-round grouping and state summation restricted to active
-    /// vertices, so the decode costs `O(active · rounds)` instead of
-    /// `O(n · rounds)`. Components of the sketched graph never share
-    /// edges, so an active component's decode trajectory is identical to
-    /// the one a full [`spanning_forest`](AgmSketch::spanning_forest)
-    /// run would follow; the returned edge set is therefore bit-identical
-    /// to a from-scratch extraction **provided the caller's split is
-    /// sound**: the active set must be a union of whole components (of
-    /// both the previous and the current graph), every vertex with a
-    /// changed incident edge must be active, and `kept_edges` must be
-    /// exactly the previous forest's edges among inactive vertices.
-    ///
-    /// `decode_failures` counts only failures among active components.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active.len() != n`; debug builds additionally panic if
-    /// a kept edge touches an active vertex.
-    pub fn spanning_forest_restricted(&self, active: &[bool], kept_edges: &[Edge]) -> ForestResult {
-        assert_eq!(active.len(), self.n, "active mask size mismatch");
-        let mut uf = UnionFind::new(self.n);
-        for e in kept_edges {
-            debug_assert!(
-                !active[e.u() as usize] && !active[e.v() as usize],
-                "kept edge {e} touches an active vertex"
-            );
-            uf.union(e.u(), e.v());
-        }
-        let mut result = self.extract_forest_restricted(&mut uf, Some(active));
-        result.edges.extend_from_slice(kept_edges);
-        result.edges.sort_unstable();
-        result
-    }
-
     /// Borůvka over the current component structure in `uf`.
     fn extract_forest(&self, uf: &mut UnionFind) -> ForestResult {
-        self.extract_forest_restricted(uf, None)
-    }
-
-    /// Borůvka restricted to an optional active-vertex mask. Inactive
-    /// vertices are never grouped or summed; their components (pre-merged
-    /// into `uf` by the caller) are frozen.
-    fn extract_forest_restricted(
-        &self,
-        uf: &mut UnionFind,
-        active: Option<&[bool]>,
-    ) -> ForestResult {
         let mut result = ForestResult::default();
         for (family, states) in self.families.iter().zip(&self.states) {
             if uf.num_components() == 1 {
@@ -325,15 +274,7 @@ impl AgmSketch {
             let mut groups: std::collections::BTreeMap<Vertex, Vec<Vertex>> =
                 std::collections::BTreeMap::new();
             for v in 0..self.n as Vertex {
-                if let Some(mask) = active {
-                    if !mask[v as usize] {
-                        continue;
-                    }
-                }
                 groups.entry(uf.find(v)).or_default().push(v);
-            }
-            if groups.is_empty() {
-                break;
             }
             // Sum member states per component and sample an outgoing edge.
             let mut found: Vec<Edge> = Vec::new();
@@ -656,73 +597,6 @@ mod tests {
         wire::put_u64(&mut payload, 0);
         let frame = wire::finish_frame(wire::KIND_AGM, payload);
         assert!(AgmSketch::from_bytes(&frame).is_err());
-    }
-
-    #[test]
-    fn restricted_extraction_matches_full_rebuild() {
-        // Two 20-vertex blocks with no cross edges; churn confined to the
-        // second block. The clean block's previous forest edges carry
-        // over verbatim, the dirty block re-decodes, and the spliced
-        // result must equal a from-scratch extraction bit for bit.
-        let n = 40;
-        let a = gen::erdos_renyi(20, 0.2, 40);
-        let b = gen::erdos_renyi(20, 0.25, 41);
-        let mut sk = AgmSketch::new(n, 42);
-        for e in a.edges() {
-            sk.update(*e, 1);
-        }
-        let shift = |e: &Edge| Edge::new(e.u() + 20, e.v() + 20);
-        for e in b.edges() {
-            sk.update(shift(e), 1);
-        }
-        let prev = sk.spanning_forest();
-        // Churn inside the second block only: delete every third B edge,
-        // add a few fresh B pairs.
-        for (i, e) in b.edges().iter().enumerate() {
-            if i % 3 == 0 {
-                sk.update(shift(e), -1);
-            }
-        }
-        for (u, v) in [(20u32, 39u32), (23, 31), (27, 38)] {
-            sk.update(Edge::new(u, v), 1);
-        }
-        let full = sk.spanning_forest();
-        let active: Vec<bool> = (0..n).map(|v| v >= 20).collect();
-        let kept: Vec<Edge> = prev
-            .edges
-            .iter()
-            .copied()
-            .filter(|e| (e.v() as usize) < 20)
-            .collect();
-        let restricted = sk.spanning_forest_restricted(&active, &kept);
-        assert_eq!(restricted.edges, full.edges);
-    }
-
-    #[test]
-    fn restricted_with_all_vertices_active_is_a_plain_extraction() {
-        let g = gen::erdos_renyi(30, 0.12, 43);
-        let sk = sketch_graph(&g, 44);
-        let full = sk.spanning_forest();
-        let restricted = sk.spanning_forest_restricted(&[true; 30], &[]);
-        assert_eq!(restricted.edges, full.edges);
-        assert_eq!(restricted.decode_failures, full.decode_failures);
-    }
-
-    #[test]
-    fn restricted_with_nothing_active_returns_the_kept_forest() {
-        let g = gen::erdos_renyi(25, 0.15, 45);
-        let sk = sketch_graph(&g, 46);
-        let prev = sk.spanning_forest();
-        let restricted = sk.spanning_forest_restricted(&[false; 25], &prev.edges);
-        assert_eq!(restricted.edges, prev.edges);
-        assert_eq!(restricted.decode_failures, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "active mask size mismatch")]
-    fn restricted_mask_size_checked() {
-        let sk = AgmSketch::new(8, 47);
-        let _ = sk.spanning_forest_restricted(&[true; 4], &[]);
     }
 
     #[test]

@@ -161,10 +161,10 @@ fn bench_epoch_advance(c: &mut Criterion) {
     group.finish();
 }
 
-/// The lazy oracle build per epoch, rebuilt from the compacted net-edge
-/// segment — at 1x and 4x stream churn over the same live graph. Under
-/// the retired raw-log design the 4x series cost ~4x; compacted, both
-/// series read the same O(live graph) segment.
+/// The lazy oracle build per epoch, from the compacted net-edge segment
+/// — at 1x and 4x stream churn over the same live graph. Under the
+/// retired raw-log design the 4x series cost ~4x; compacted, both series
+/// read the same O(live graph) segment.
 fn bench_artifact_rebuild(c: &mut Criterion) {
     let mut group = c.benchmark_group("service");
     group.sample_size(10);
@@ -179,14 +179,16 @@ fn bench_artifact_rebuild(c: &mut Criterion) {
         let served = registry.create("rebuild", config).expect("fresh registry");
         served.apply(stream.updates()).expect("in range");
         let epoch = served.advance_epoch();
+        let p = config.oracle_params();
         group.bench_function(label, |b| {
-            // The exact two-pass rebuild the snapshot's OnceLock performs
-            // on first use, timed in isolation (the OnceLock itself only
+            // The Baswana–Sen build the snapshot's OnceLock performs on
+            // first use, timed in isolation (the OnceLock itself only
             // builds once per epoch, so it cannot be iterated directly).
             b.iter(|| {
-                black_box(dsg_spanner::TwoPassSpanner::build(
-                    epoch.net_edges().as_ref(),
-                    config.oracle_params(),
+                black_box(dsg_spanner::baswana_sen::build_spanner(
+                    &epoch.net_edges().final_graph(),
+                    p.k,
+                    p.seed,
                 ))
             });
         });

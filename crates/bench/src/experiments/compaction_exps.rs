@@ -12,8 +12,8 @@
 use crate::Scale;
 use dsg_graph::{gen, GraphStream, Vertex};
 use dsg_service::{GraphConfig, GraphRegistry};
+use dsg_spanner::baswana_sen;
 use dsg_spanner::oracle::DistanceOracle;
-use dsg_spanner::TwoPassSpanner;
 use dsg_store::{DurableRegistry, ScratchDir, StoreOptions};
 use dsg_util::Table;
 use std::time::Instant;
@@ -57,15 +57,14 @@ pub fn compaction(scale: Scale) {
         let oracle = epoch.oracle();
         let net_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        // The raw-log single-threaded recompute the old design performed
-        // (and the reference the compacted answers must match, bit for
-        // bit).
+        // The raw-log single-threaded recompute: replay the whole stream
+        // into its final graph, then build the same Baswana–Sen spanner
+        // (the reference the compacted answers must match, bit for bit).
         let t0 = Instant::now();
-        let mut alg = TwoPassSpanner::new(n, config.oracle_params());
-        dsg_graph::pass::run(&mut alg, &stream);
-        let raw = alg.into_output().expect("both passes ran");
+        let p = config.oracle_params();
+        let raw = baswana_sen::build_spanner(&stream.final_graph(), p.k, p.seed);
         let raw_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let raw_oracle = DistanceOracle::new(raw.spanner, 1 << config.spanner_k);
+        let raw_oracle = DistanceOracle::new(raw, config.oracle_stretch());
         for i in 0..(n as Vertex) {
             let (u, v) = (i % 7, (i * 13 + 1) % n as Vertex);
             if u != v {

@@ -1,54 +1,24 @@
-//! Experiment E26: incremental epoch artifacts — O(changes) refresh.
+//! Experiment E26: the epoch advance costs O(changes).
 //!
-//! Every derived artifact (spanning forest, distance oracle, cut
-//! Laplacian) is an exact function of the compacted net segment, and the
-//! segment diff between consecutive epochs is computable in one merge
-//! scan. Because the sketches are linear, applying the signed diff to the
-//! retained pass state reproduces the full-rebuild state **bit for bit**
-//! — so a low-churn epoch can refresh its forest and oracle by patching
-//! the previous epoch's instead of rebuilding from the whole segment. The
-//! cut Laplacian is the segment's own exact Laplacian, built in one
-//! O(live edges) scan on both sides; a splice would cost the same.
+//! The merged sketch is linear per vertex, so `advance_epoch` re-merges
+//! only the endpoints of the epoch's updates and shares every other state
+//! with the previous epoch. The table times a 1%-churn advance against
+//! one whose batch touches every vertex (the cost of a full merge),
+//! checking after each that the published sketch is byte-for-byte a
+//! single sketch of the whole stream.
 //!
-//! The workload advances epochs over a dense live graph under batches of
-//! known churn. At each churn level a tenant chain patches every epoch
-//! from its predecessor, and each epoch is also built from scratch on a
-//! fresh tenant (no predecessor) fed the same live edges. The headline
-//! (asserted, not just printed): at 1% churn the refresh of all three
-//! artifacts on the patching chain is at least 5x faster than the full
-//! rebuild, with bit-identical forest edges, oracle rows, and cut values.
-//! Higher churn levels chart how the patch's lead narrows as the diff
-//! grows.
-//!
-//! The advance itself is O(changes) too: the merged sketch is linear per
-//! vertex, so `advance_epoch` re-merges only the endpoints of the epoch's
-//! updates and shares every other state with the previous epoch. The
-//! second table times a 1%-churn advance against one whose batch touches
-//! every vertex (the cost of a full merge), checking after each that the
-//! published sketch is byte-for-byte a single sketch of the whole stream.
+//! The epoch's artifacts are not part of this experiment: each is built
+//! once per epoch from that epoch's own snapshot, so an epoch's refresh
+//! costs exactly one build of each artifact it serves.
 
 use crate::Scale;
 use dsg_agm::AgmSketch;
 use dsg_graph::{gen, Edge, GraphStream, StreamUpdate, Vertex};
-use dsg_service::{EpochSnapshot, GraphConfig, GraphRegistry, ServedGraph};
+use dsg_service::{GraphConfig, GraphRegistry, ServedGraph};
 use dsg_sketch::LinearSketch;
 use dsg_util::Table;
 use std::collections::HashSet;
 use std::time::Instant;
-
-/// One churn level's measurement: medians over the trial epochs.
-#[derive(Debug, Clone, Copy)]
-pub struct RefreshSample {
-    /// Median wall time to refresh all three artifacts on the patching
-    /// chain (forest and oracle patched, cut Laplacian built), ms.
-    pub patch_ms: f64,
-    /// Median wall time for the same refresh as full rebuilds, ms.
-    pub rebuild_ms: f64,
-    /// Live edges in the graph the epochs advance over.
-    pub live_edges: usize,
-    /// Segment-diff changes per epoch (deletions + insertions).
-    pub delta_changes: usize,
-}
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -88,127 +58,6 @@ fn churn_batch(live: &mut HashSet<Edge>, n: usize, k: usize, rng: &mut u64) -> V
         }
     }
     batch
-}
-
-/// Builds all three artifacts; what the timers bracket.
-fn build_all(snap: &EpochSnapshot) {
-    let _ = snap.forest();
-    let _ = snap.oracle();
-    let _ = snap.cut_data();
-}
-
-/// Patched and full snapshots of the same stream position must agree on
-/// every answer, bit for bit.
-fn assert_identical(patched: &EpochSnapshot, full: &EpochSnapshot, ctx: &str) {
-    let (fa, fb) = (patched.forest(), full.forest());
-    assert_eq!(fa.result.edges, fb.result.edges, "forest diverged: {ctx}");
-    assert_eq!(fa.labels, fb.labels, "labels diverged: {ctx}");
-    let (oa, ob) = (patched.oracle(), full.oracle());
-    let n = patched.num_vertices();
-    for u in 0..n as Vertex {
-        assert_eq!(
-            oa.estimates_from(u),
-            ob.estimates_from(u),
-            "oracle row {u} diverged: {ctx}"
-        );
-    }
-    let (ca, cb) = (patched.cut_data(), full.cut_data());
-    let wa: Vec<u64> = ca
-        .laplacian
-        .edge_triples()
-        .iter()
-        .map(|&(_, _, w)| w.to_bits())
-        .collect();
-    let wb: Vec<u64> = cb
-        .laplacian
-        .edge_triples()
-        .iter()
-        .map(|&(_, _, w)| w.to_bits())
-        .collect();
-    assert_eq!(wa, wb, "laplacian weights diverged: {ctx}");
-    for shift in 0..3 {
-        let mut side = vec![false; n];
-        for (v, s) in side.iter_mut().enumerate() {
-            *s = (v + shift) % 3 == 0;
-        }
-        assert_eq!(
-            ca.laplacian.cut_value(&side).to_bits(),
-            cb.laplacian.cut_value(&side).to_bits(),
-            "cut value diverged: {ctx}"
-        );
-    }
-}
-
-/// Runs a patching epoch chain for `trials` churn epochs, builds each
-/// epoch from scratch on a fresh tenant beside it, and returns the median
-/// refresh times. Also asserts bit-identity between the two at every
-/// epoch.
-pub fn measure_refresh(n: usize, p: f64, churn_frac: f64, trials: usize) -> RefreshSample {
-    let g = gen::erdos_renyi(n, p, 31);
-    let base = GraphStream::insert_only(&g, 32);
-    let config = GraphConfig::new(n).seed(7).shards(2);
-    let reg = GraphRegistry::new();
-    let patch_g = reg.create("patch", config).expect("fresh registry");
-    patch_g.apply(base.updates()).expect("valid stream");
-    build_all(&patch_g.advance_epoch());
-
-    let mut live: HashSet<Edge> = g.edges().iter().copied().collect();
-    let k = ((g.num_edges() as f64 * churn_frac).round() as usize).max(2);
-    let mut rng = 0x5EED ^ churn_frac.to_bits();
-    let (mut patch_times, mut full_times) = (Vec::new(), Vec::new());
-    let mut full_incremental = 0;
-    for trial in 0..trials {
-        let batch = churn_batch(&mut live, n, k, &mut rng);
-        patch_g.apply(&batch).expect("valid batch");
-
-        let patched = patch_g.advance_epoch();
-        let t0 = Instant::now();
-        build_all(&patched);
-        patch_times.push(t0.elapsed().as_secs_f64() * 1e3);
-
-        // A tenant with no predecessor has nothing to patch from: it
-        // builds every artifact from its sealed segment.
-        let mut edges: Vec<Edge> = live.iter().copied().collect();
-        edges.sort_unstable();
-        let current: Vec<StreamUpdate> = edges
-            .iter()
-            .map(|e| StreamUpdate::insert(e.u(), e.v()))
-            .collect();
-        let fresh = GraphRegistry::new();
-        let full_g = fresh.create("full", config).expect("fresh registry");
-        full_g.apply(&current).expect("valid stream");
-        let rebuilt = full_g.advance_epoch();
-        let t0 = Instant::now();
-        build_all(&rebuilt);
-        full_times.push(t0.elapsed().as_secs_f64() * 1e3);
-        full_incremental += full_g.epoch_stats().incremental_builds;
-
-        assert_identical(
-            &patched,
-            &rebuilt,
-            &format!("churn {churn_frac}, trial {trial}"),
-        );
-    }
-    // The two sides must really have split paths: every post-warmup
-    // forest and oracle refresh patched on one side and rebuilt on the
-    // other (the cut Laplacian has no patch path).
-    let stats = patch_g.epoch_stats();
-    assert_eq!(
-        stats.incremental_builds,
-        (trials * 2) as u64,
-        "patch chain must patch the forest and oracle every epoch"
-    );
-    assert!(stats.last_patch_nanos > 0, "patch duration recorded");
-    assert_eq!(
-        full_incremental, 0,
-        "a tenant with no predecessor must build from scratch"
-    );
-    RefreshSample {
-        patch_ms: median(patch_times),
-        rebuild_ms: median(full_times),
-        live_edges: g.num_edges(),
-        delta_changes: k,
-    }
 }
 
 /// One kind of epoch's advance cost: medians over the trial epochs.
@@ -360,58 +209,8 @@ fn advance_table(scale: Scale) {
     );
 }
 
-/// E26: at 1% churn, the patching chain's artifact refresh is at least 5x
-/// faster than a full rebuild — with bit-identical answers at every churn level —
-/// and the advance that precedes it re-merges only the touched vertices.
+/// E26: a 1%-churn advance re-merges only the touched vertices.
 pub fn incremental(scale: Scale) {
-    let n = scale.pick(200usize, 110);
-    let p = scale.pick(0.2, 0.3);
-    let trials = scale.pick(3usize, 2);
-    println!(
-        "\n## E26 — incremental epoch artifacts (n = {n}, p = {p}, dense so the segment \
-         dominates the diff; medians over {trials} churn epochs per level)\n"
-    );
-
-    let mut t = Table::new(&[
-        "churn",
-        "live edges",
-        "diff changes",
-        "patched refresh",
-        "full rebuild",
-        "speedup",
-    ]);
-    let mut at_one_pct = None;
-    for churn_frac in [0.01, 0.10, 0.50] {
-        let s = measure_refresh(n, p, churn_frac, trials);
-        let speedup = s.rebuild_ms / s.patch_ms.max(1e-9);
-        t.add_row(&[
-            format!("{:.0}%", churn_frac * 100.0),
-            s.live_edges.to_string(),
-            s.delta_changes.to_string(),
-            format!("{:.2} ms", s.patch_ms),
-            format!("{:.2} ms", s.rebuild_ms),
-            format!("{speedup:.1}x"),
-        ]);
-        if churn_frac == 0.01 {
-            at_one_pct = Some((s, speedup));
-        }
-    }
-    println!("{t}");
-
-    let (s, speedup) = at_one_pct.expect("1% level measured");
-    assert!(
-        s.rebuild_ms >= 5.0 * s.patch_ms,
-        "at 1% churn the patched refresh must be >= 5x faster than a full rebuild \
-         (patch {:.2} ms vs rebuild {:.2} ms)",
-        s.patch_ms,
-        s.rebuild_ms
-    );
-    println!(
-        "1% churn ({} changes over {} live edges): patched refresh {speedup:.1}x faster than \
-         full rebuild, all answers bit-identical ✓ — higher churn narrows the lead, and the \
-         service patches the forest and oracle at every churn level\n",
-        s.delta_changes, s.live_edges
-    );
-
+    println!("\n## E26 — O(changes) epoch advance\n");
     advance_table(scale);
 }

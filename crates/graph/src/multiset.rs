@@ -31,8 +31,7 @@ use std::collections::HashMap;
 /// Because every linear sketch is a function of the net multiset alone,
 /// this delta is not an approximation of "what changed" — it *is* the
 /// update stream (up to reordering) that carries any sketch of `prev` to
-/// the bit-identical sketch of `cur`. That is what makes O(changes)
-/// artifact patching exact rather than heuristic.
+/// the bit-identical sketch of `cur`, in O(changes) work.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SegmentDelta {
     /// Pairs live in `cur` but not in `prev` (the `cur` entry).

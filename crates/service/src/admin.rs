@@ -199,17 +199,14 @@ fn render_epochz(registry: &GraphRegistry) -> String {
         out.push_str(&format!(
             "{{\"graph\":{},\"epoch\":{},\"total_updates\":{},\"net_edges\":{},\
              \"num_vertices\":{},\"load_balance\":{:.4},\
-             \"incremental_builds\":{},\"full_builds\":{},\"last_patch_nanos\":{},\
-             \"last_dirty_vertices\":{}}}",
+             \"full_builds\":{},\"last_dirty_vertices\":{}}}",
             json_escape(&t.name),
             t.epoch,
             t.total_updates,
             t.net_edges,
             t.num_vertices,
             t.load_balance,
-            t.incremental_builds,
             t.full_builds,
-            t.last_patch_nanos,
             t.last_dirty_vertices
         ));
     }
@@ -281,10 +278,8 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("\"graph\":\"social\"") && body.contains("\"epoch\":1"));
         assert!(
-            body.contains("\"incremental_builds\":")
-                && body.contains("\"full_builds\":")
-                && body.contains("\"last_patch_nanos\":"),
-            "epochz must expose the incremental-vs-full artifact tallies"
+            body.contains("\"full_builds\":"),
+            "epochz must expose the artifact build tally"
         );
         assert!(
             body.contains("\"last_dirty_vertices\":2"),

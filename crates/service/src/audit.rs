@@ -1,16 +1,21 @@
 //! Online accuracy auditing: sampled shadow recomputes of served answers.
 //!
-//! Most of what this service promises is probabilistic — the spanner
-//! oracle answers within stretch `2^k` (Theorem 1), the AGM forest is
-//! correct whp (Theorem 10); cut values are exact, read off the sealed
-//! segment's Laplacian — and the metrics and traces elsewhere in this
+//! Every served answer carries a contract, and each artifact behind it
+//! is built once per epoch from that epoch's own snapshot: the distance
+//! oracle answers within stretch `2k − 1` ([`GraphConfig::oracle_stretch`];
+//! it is the Baswana–Sen spanner of the sealed segment), the AGM forest
+//! is correct whp (Theorem 10), and cut values are exact, read off the
+//! sealed segment's Laplacian. The metrics and traces elsewhere in this
 //! workspace observe *latency*, never *correctness*. The
-//! [`QualityAuditor`] closes that gap: for a deterministically sampled
-//! fraction of served queries
-//! (default 1 in [`AuditConfig::sample_every`], keyed on the query's
-//! trace id so the same request is sampled on every replica), the exact
-//! answer is recomputed **off the epoch's sealed [`NetMultiset`]
-//! segment** and compared against what was served.
+//! [`QualityAuditor`] closes that gap by checking the contract itself:
+//! `exact ≤ served ≤ (2k − 1) · exact` for distances, equality for cuts
+//! and components. Only a whp forest failure can trip it on an honest
+//! run; anything else it finds is a bug. For a deterministically sampled
+//! fraction of served queries (default 1 in
+//! [`AuditConfig::sample_every`], keyed on the query's trace id so the
+//! same request is sampled on every replica), the exact answer is
+//! recomputed **off the epoch's sealed [`NetMultiset`] segment** and
+//! compared against what was served.
 //!
 //! The recompute is cheap *because of* the compaction work of earlier
 //! PRs: the sealed net segment is O(live graph), not O(stream length),
@@ -31,6 +36,7 @@
 //!   `/qualityz` tell one story.
 //!
 //! [`NetMultiset`]: dsg_graph::NetMultiset
+//! [`GraphConfig::oracle_stretch`]: crate::GraphConfig::oracle_stretch
 //! [`NetMultiset::final_graph`]: dsg_graph::NetMultiset::final_graph
 
 use crate::epoch::EpochSnapshot;
@@ -66,11 +72,6 @@ pub struct AuditConfig {
     /// Bounded audit-queue capacity; a full queue counts an overflow and
     /// drops the sample rather than blocking the serving thread.
     pub queue_capacity: usize,
-    /// Multiplicative sandwich a cut estimate must stay inside relative
-    /// to the exact cut (`exact/slack ≤ est ≤ slack·exact`). Served cuts
-    /// are exact (the epoch's cut Laplacian is the sealed segment's own),
-    /// so honest answers pass at any slack ≥ 1.
-    pub cut_slack: f64,
     /// Relative slack allowed to the KNW distinct-edge estimator before
     /// its disagreement with the exact count is a violation.
     pub distinct_slack: f64,
@@ -81,7 +82,6 @@ impl Default for AuditConfig {
         Self {
             sample_every: 64,
             queue_capacity: 256,
-            cut_slack: 3.0,
             distinct_slack: 0.5,
         }
     }
@@ -238,7 +238,7 @@ pub fn verify_cached(
             Some(verify_is_far(cache, *u, *v, *threshold, *served))
         }
         (Query::CutEstimate(side), Response::CutEstimate(served)) => {
-            Some(verify_cut(cache, side, *served, cfg))
+            Some(verify_cut(cache, side, *served))
         }
         (Query::Stats, Response::Stats(stats)) => {
             // The stats themselves are read off the snapshot; what the
@@ -284,7 +284,7 @@ fn boolean_finding(agree: bool, detail: String) -> AuditFinding {
     }
 }
 
-/// The oracle contract is a sandwich: `exact ≤ served ≤ 2^k · exact`,
+/// The oracle contract is a sandwich: `exact ≤ served ≤ (2k − 1) · exact`,
 /// with reachability agreeing exactly (the spanner is a subgraph).
 fn verify_distance(
     cache: &mut ExactCache,
@@ -292,7 +292,7 @@ fn verify_distance(
     v: Vertex,
     served: Option<u32>,
 ) -> AuditFinding {
-    let stretch = 1u64 << cache.snap.config().spanner_k;
+    let stretch = cache.snap.config().oracle_stretch();
     let exact = cache.row(u).get(v as usize).copied().unwrap_or(UNREACHABLE);
     match (exact, served) {
         (UNREACHABLE, None) => AuditFinding {
@@ -328,8 +328,9 @@ fn verify_distance(
 }
 
 /// `IsFar` inherits the oracle sandwich: a `false` implies
-/// `exact ≤ threshold`; a `true` implies `2^k · exact > threshold` (the
-/// estimate that exceeded the threshold is itself ≤ `2^k · exact`).
+/// `exact ≤ threshold`; a `true` implies `(2k − 1) · exact > threshold`
+/// (the estimate that exceeded the threshold is itself
+/// ≤ `(2k − 1) · exact`).
 fn verify_is_far(
     cache: &mut ExactCache,
     u: Vertex,
@@ -337,7 +338,7 @@ fn verify_is_far(
     threshold: u32,
     served: bool,
 ) -> AuditFinding {
-    let stretch = 1u64 << cache.snap.config().spanner_k;
+    let stretch = cache.snap.config().oracle_stretch();
     let exact = cache.row(u).get(v as usize).copied().unwrap_or(UNREACHABLE);
     let ok = if served {
         exact == UNREACHABLE || stretch * exact as u64 > threshold as u64
@@ -350,12 +351,9 @@ fn verify_is_far(
     )
 }
 
-fn verify_cut(
-    cache: &mut ExactCache,
-    side: &[Vertex],
-    served: f64,
-    cfg: &AuditConfig,
-) -> AuditFinding {
+/// Served cuts are read off the Laplacian of the same sealed segment the
+/// audit rebuilds, so anything but equality is a bug.
+fn verify_cut(cache: &mut ExactCache, side: &[Vertex], served: f64) -> AuditFinding {
     let mut in_side = vec![false; cache.graph.num_vertices()];
     for &v in side {
         if let Some(slot) = in_side.get_mut(v as usize) {
@@ -363,21 +361,17 @@ fn verify_cut(
         }
     }
     let exact = cache.laplacian().cut_value(&in_side);
-    let (violation, error_permille) = if exact <= f64::EPSILON {
-        (served.abs() > 1e-6, (served.abs() * 1000.0) as u64)
+    let error = if exact <= f64::EPSILON {
+        served.abs()
     } else {
-        let rel = (served - exact).abs() / exact;
-        let out_of_sandwich =
-            served > cfg.cut_slack * exact + 1e-9 || served < exact / cfg.cut_slack - 1e-9;
-        (out_of_sandwich, (rel * 1000.0) as u64)
+        (served - exact).abs() / exact
     };
     AuditFinding {
-        violation,
-        error_permille,
+        violation: served != exact,
+        error_permille: (error * 1000.0) as u64,
         detail: format!(
-            "cut(|side|={}): served {served:.3}, exact {exact:.3}, slack ×{}",
-            side.len(),
-            cfg.cut_slack
+            "cut(|side|={}): served {served:.3}, exact {exact:.3}",
+            side.len()
         ),
     }
 }
@@ -965,7 +959,7 @@ mod tests {
         .unwrap();
         assert!(!f.violation, "{f:?}");
         assert_eq!(f.error_permille, 0);
-        // Absurd cut value trips the sandwich.
+        // Absurd cut value trips the equality check.
         let f = verify_answer(
             &snap,
             &Query::CutEstimate(vec![0, 1, 2]),
@@ -974,6 +968,71 @@ mod tests {
         )
         .unwrap();
         assert!(f.violation, "{f:?}");
+    }
+
+    #[test]
+    fn distance_beyond_2k_minus_1_is_a_violation() {
+        // At k = 2 the oracle contract is stretch 2k − 1 = 3: a served
+        // 4·d is inside the paper's 2^k but outside the contract.
+        let registry = registry_with_path(16);
+        let snap = registry.get("g").unwrap().snapshot();
+        assert_eq!(snap.config().spanner_k, 2);
+        let cfg = AuditConfig::default();
+        let distance = |served: u32| {
+            verify_answer(
+                &snap,
+                &Query::Distance(0, 3),
+                &Response::Distance(Some(served)),
+                &cfg,
+            )
+            .unwrap()
+        };
+        assert!(!distance(9).violation, "3·d is inside 2k − 1");
+        let f = distance(12);
+        assert!(f.violation, "4·d must be a violation: {f:?}");
+        assert_eq!(f.error_permille, 3000);
+        // `IsFar` inherits the bound: exact distance 3, so a `true` is
+        // only allowed below threshold 3·3 = 9.
+        let is_far = |threshold: u32| {
+            verify_answer(
+                &snap,
+                &Query::IsFar {
+                    u: 0,
+                    v: 3,
+                    threshold,
+                },
+                &Response::IsFar(true),
+                &cfg,
+            )
+            .unwrap()
+        };
+        assert!(!is_far(8).violation);
+        assert!(is_far(10).violation, "4·d > 10 but 3·d is not");
+    }
+
+    #[test]
+    fn cut_off_by_half_is_a_violation() {
+        // Served cuts are exact, so 1.5× the exact value is a violation
+        // even though it is well inside a ×3 sandwich.
+        let registry = registry_with_path(16);
+        let snap = registry.get("g").unwrap().snapshot();
+        let cfg = AuditConfig::default();
+        let cut = |served: f64| {
+            verify_answer(
+                &snap,
+                &Query::CutEstimate(vec![0, 1, 2]),
+                &Response::CutEstimate(served),
+                &cfg,
+            )
+            .unwrap()
+        };
+        // The path crosses {0, 1, 2} on one edge (2, 3).
+        let exact = cut(1.0);
+        assert!(!exact.violation, "{exact:?}");
+        assert_eq!(exact.error_permille, 0);
+        let f = cut(1.5);
+        assert!(f.violation, "{f:?}");
+        assert_eq!(f.error_permille, 500);
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //!    with answers bit-identical to an offline recomputation over the
 //!    stream prefix the epoch froze.
 //!
-//! Expensive derived objects — the spanning forest, the spanner-backed
-//! [`DistanceOracle`](dsg_spanner::oracle::DistanceOracle), the exact
+//! Expensive derived objects — the spanning forest, the
+//! [`DistanceOracle`](dsg_spanner::oracle::DistanceOracle) over a
+//! Baswana–Sen spanner of the sealed segment (stretch `2k − 1`), the exact
 //! Laplacian of the sealed segment that answers cut queries — are built
 //! **lazily, once per epoch**, behind [`Arc`]s in a per-snapshot artifact
-//! cache; advancing the epoch publishes a fresh snapshot and thereby
-//! invalidates the old artifacts wholesale.
+//! cache. Each is built from its own snapshot alone, never patched from
+//! the previous epoch's; advancing the epoch publishes a fresh snapshot
+//! and thereby invalidates the old artifacts wholesale.
 //!
 //! [`GraphRegistry`] hosts many named graphs (multi-tenancy), and
 //! [`QueryService`] executes a typed [`Query`]/[`Response`] API on a
@@ -100,9 +102,11 @@ pub struct GraphConfig {
     pub shards: usize,
     /// Updates per engine batch.
     pub batch_size: usize,
-    /// Hierarchy depth `k` of the per-epoch spanner: the distance oracle
-    /// answers with stretch `2^k` — deeper hierarchies mean looser
-    /// distance answers but smaller sketches.
+    /// Hierarchy depth `k` of the per-epoch spanner: each epoch builds
+    /// one Baswana–Sen spanner of its sealed segment, and the distance
+    /// oracle answers with stretch at most `2k − 1` (within the paper's
+    /// `2^k`) — a larger `k` means looser distance answers over a
+    /// sparser spanner (`O(k · n^{1+1/k})` edges).
     pub spanner_k: usize,
 }
 
@@ -152,7 +156,8 @@ impl GraphConfig {
         self
     }
 
-    /// Sets the spanner hierarchy depth `k` — oracle stretch `2^k`.
+    /// Sets the spanner hierarchy depth `k` — oracle stretch `2k − 1`
+    /// (see [`oracle_stretch`](Self::oracle_stretch)).
     ///
     /// # Panics
     ///
@@ -163,12 +168,23 @@ impl GraphConfig {
         self
     }
 
-    /// The exact spanner parameters an epoch of this graph builds its
-    /// distance oracle with — public so an offline recomputation (the
-    /// snapshot-isolation tests, a cold-standby server) can reproduce
-    /// epoch artifacts bit-for-bit.
+    /// The spanner parameters of this graph's distance oracle. An epoch
+    /// builds `dsg_spanner::baswana_sen::build_spanner` of its segment's
+    /// live graph at this `k` and `seed` — public so an offline
+    /// recomputation (the snapshot-isolation tests, a cold-standby
+    /// server) can reproduce epoch oracles bit-for-bit. The offline
+    /// two-pass reproduction of Theorem 1 (experiments E1–E5, the
+    /// benchmark's `spanner.*` layer) runs with the full parameter set.
     pub fn oracle_params(&self) -> SpannerParams {
         SpannerParams::new(self.spanner_k, self.seed ^ ORACLE_SALT)
+    }
+
+    /// The stretch bound `2k − 1` the distance oracle answers within
+    /// (Baswana–Sen's guarantee; at most the paper's `2^k` for every
+    /// `k ≥ 1`) — what an epoch wraps its oracle with and what the
+    /// quality audit checks served distances against.
+    pub fn oracle_stretch(&self) -> u64 {
+        2 * self.spanner_k as u64 - 1
     }
 
     /// KP12 parameters for an offline two-pass sparsifier of this graph's

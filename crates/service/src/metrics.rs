@@ -37,21 +37,6 @@ pub(crate) const ART_ORACLE: usize = 1;
 /// Index of the exact cut-Laplacian artifact.
 pub(crate) const ART_CUT: usize = 2;
 
-/// Per-graph incremental-vs-full refresh tallies, kept in plain atomics
-/// **outside** the metric registry so the `/epochz` admin view can report
-/// them even when telemetry is a no-op. One instance per graph, shared by
-/// every snapshot's [`ArtifactMetrics`] clone.
-#[derive(Debug, Default)]
-pub(crate) struct ArtifactChoiceStats {
-    /// Artifact refreshes served by patching the previous epoch.
-    pub incremental_total: AtomicU64,
-    /// Artifact refreshes that fell back to (or started as) full builds.
-    pub full_total: AtomicU64,
-    /// Wall time of the most recent successful patch, nanoseconds
-    /// (0 until the first patch).
-    pub last_patch_nanos: AtomicU64,
-}
-
 /// Handles for one epoch snapshot's derived-artifact cache: build
 /// latency, build-once counters, and `OnceLock` cache hits per artifact,
 /// plus the distance oracle's internal memo-cache counters (folded into
@@ -65,18 +50,13 @@ pub(crate) struct ArtifactMetrics {
     pub build_nanos: [Histogram; 3],
     /// Builds per artifact (at most one per epoch, by `OnceLock`).
     pub builds: [Counter; 3],
+    /// Builds across all artifacts, kept in a plain atomic **outside**
+    /// the metric registry so the `/epochz` admin view can report it even
+    /// when telemetry is a no-op. One cell per graph, shared by every
+    /// snapshot's clone.
+    pub builds_total: Arc<AtomicU64>,
     /// Accesses served from the already-built artifact.
     pub cache_hits: [Counter; 3],
-    /// Refreshes served by patching the previous epoch's artifact.
-    pub incremental: [Counter; 3],
-    /// Refreshes that ran the full from-scratch build (no predecessor
-    /// that built the artifact and still holds its pass state).
-    pub full: [Counter; 3],
-    /// Patch wall time per artifact, nanoseconds (successful patches
-    /// only; full builds land in `build_nanos`).
-    pub patch_nanos: [Histogram; 3],
-    /// Registry-independent tallies for the `/epochz` admin view.
-    pub shared: Arc<ArtifactChoiceStats>,
     /// Distance-oracle per-source memo cache hits.
     pub oracle_cache_hits: Counter,
     /// Distance-oracle per-source memo cache misses.
@@ -90,21 +70,10 @@ pub(crate) struct ArtifactMetrics {
 }
 
 impl ArtifactMetrics {
-    /// Records one artifact refresh served by patching: counters,
-    /// patch-latency histogram, and the registry-independent tallies.
-    pub(crate) fn record_patch(&self, artifact: usize, nanos: u64) {
-        self.incremental[artifact].inc();
-        self.patch_nanos[artifact].record(nanos);
-        self.shared
-            .incremental_total
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.last_patch_nanos.store(nanos, Ordering::Relaxed);
-    }
-
-    /// Records one artifact refresh that ran the full build path.
-    pub(crate) fn record_full(&self, artifact: usize) {
-        self.full[artifact].inc();
-        self.shared.full_total.fetch_add(1, Ordering::Relaxed);
+    /// Counts one artifact build, in the registry and in `builds_total`.
+    pub(crate) fn record_build(&self, artifact: usize) {
+        self.builds[artifact].inc();
+        self.builds_total.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -202,11 +171,8 @@ impl GraphMetrics {
             artifacts: ArtifactMetrics {
                 build_nanos: per_artifact_hist("dsg_service_artifact_build_nanos"),
                 builds: per_artifact_ctr("dsg_service_artifact_builds_total"),
+                builds_total: Arc::new(AtomicU64::new(0)),
                 cache_hits: per_artifact_ctr("dsg_service_artifact_cache_hits_total"),
-                incremental: per_artifact_ctr("dsg_service_artifact_incremental_total"),
-                full: per_artifact_ctr("dsg_service_artifact_full_total"),
-                patch_nanos: per_artifact_hist("dsg_service_artifact_patch_nanos"),
-                shared: Arc::new(ArtifactChoiceStats::default()),
                 oracle_cache_hits: reg.counter(&g("dsg_service_oracle_cache_hits_total")),
                 oracle_cache_misses: reg.counter(&g("dsg_service_oracle_cache_misses_total")),
                 tracer: tracer.clone(),

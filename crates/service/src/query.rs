@@ -3,7 +3,7 @@
 //! [`Query`] names the read operations the paper's structures support:
 //! connectivity and same-component from the AGM spanning forest (Theorem
 //! 10), distance estimates and far/near threshold tests from the spanner
-//! oracle (Theorem 1, the `ESTIMATE` primitive of Algorithm 4), exact
+//! oracle (stretch `2k − 1`; the `ESTIMATE` primitive of Algorithm 4), exact
 //! cut values from the Laplacian of the epoch's sealed segment, and a
 //! stats probe. [`QueryService`] fans queries
 //! out to a pool of worker threads over the shared [`GraphRegistry`];
@@ -31,8 +31,8 @@ pub enum Query {
     Connectivity,
     /// Are two vertices in the same connected component?
     SameComponent(Vertex, Vertex),
-    /// Stretch-`2^k` distance estimate between two vertices (`None` when
-    /// disconnected).
+    /// Stretch-`(2k − 1)` distance estimate between two vertices (`None`
+    /// when disconnected).
     Distance(Vertex, Vertex),
     /// Is the estimated distance strictly greater than `threshold`?
     IsFar {

@@ -14,9 +14,9 @@
 //! worker, insertions and deletions of the same pair cancel at ingest,
 //! and writer-side state is O(current edges) — never O(stream length).
 //! Advancing an epoch seals one net segment per shard and assembles the
-//! epoch segment by concatenating them (disjoint by routing). Multi-pass
-//! epoch artifacts rebuild from the assembled segment, bit-identically to
-//! a raw-log replay, by pass linearity.
+//! epoch segment by concatenating them (disjoint by routing). Each
+//! published snapshot builds its artifacts from its own segment and
+//! sketch only; no snapshot links to its predecessor.
 
 use crate::audit::{AuditConfig, QualityAuditor};
 use crate::compact::ShardedCompactedLog;
@@ -401,8 +401,7 @@ impl ServedGraph {
     fn publish(&self, st: &mut IngestState, merged: AgmSketch) -> Arc<EpochSnapshot> {
         st.dirty.fill(false);
         let total = st.engine.pushed();
-        let prev = self.snapshot();
-        let next_epoch = prev.epoch() + 1;
+        let next_epoch = self.snapshot().epoch() + 1;
         let net = self.metrics.epoch_seal.time(|| st.live.seal_epoch());
         self.metrics.tracer.record(
             EventKind::EpochSeal,
@@ -418,11 +417,6 @@ impl ServedGraph {
             total,
             self.metrics.artifacts.clone(),
         ));
-        // Link the predecessor so the new epoch's artifact builders can
-        // patch instead of rebuilding; cut the predecessor's own
-        // back-link so the chain never grows past depth 1.
-        prev.clear_prev();
-        snap.set_prev(prev);
         *self.current.write().expect("epoch lock poisoned") = Arc::clone(&snap);
         self.metrics.tracer.record(
             EventKind::EpochPublish,
@@ -567,7 +561,6 @@ impl ServedGraph {
     /// admin endpoint's `/epochz` serves per graph.
     pub fn epoch_stats(&self) -> TenantEpochStats {
         let snap = self.snapshot();
-        let choices = &self.metrics.artifacts.shared;
         TenantEpochStats {
             name: self.name.clone(),
             epoch: snap.epoch(),
@@ -575,9 +568,7 @@ impl ServedGraph {
             net_edges: snap.net_edges().num_edges(),
             num_vertices: snap.num_vertices(),
             load_balance: self.metrics.engine.load_balance.get(),
-            incremental_builds: choices.incremental_total.load(Ordering::Relaxed),
-            full_builds: choices.full_total.load(Ordering::Relaxed),
-            last_patch_nanos: choices.last_patch_nanos.load(Ordering::Relaxed),
+            full_builds: self.metrics.artifacts.builds_total.load(Ordering::Relaxed),
             last_dirty_vertices: self.last_dirty_vertices.load(Ordering::Relaxed),
         }
     }
@@ -599,14 +590,10 @@ pub struct TenantEpochStats {
     /// Live max/mean routed-update ratio across the ingest shards (0.0
     /// when telemetry is off — the gauge is a no-op).
     pub load_balance: f64,
-    /// Artifact refreshes this tenant served by patching the previous
-    /// epoch (incremental path). Counted across all artifact kinds.
-    pub incremental_builds: u64,
-    /// Artifact refreshes that ran the full from-scratch build.
+    /// Artifact builds this tenant has run, across all artifact kinds.
+    /// Every build is a full one from its own epoch's snapshot, at most
+    /// one per artifact per epoch.
     pub full_builds: u64,
-    /// Wall time of the most recent successful patch, nanoseconds (0
-    /// until the first patch).
-    pub last_patch_nanos: u64,
     /// Vertices the most recent epoch advance had to re-merge (endpoints
     /// of the updates applied since the advance before it; 0 until the
     /// first advance). A slow advance with a small count is a slow

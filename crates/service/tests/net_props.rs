@@ -15,6 +15,7 @@ use dsg_engine::{merge_tree, EdgeUpdate, EngineConfig, ShardedEngine};
 use dsg_graph::{gen, Edge, Graph, GraphStream, StreamUpdate, Vertex};
 use dsg_service::{EpochSnapshot, GraphConfig, GraphRegistry, Query, Response, ServiceError};
 use dsg_sketch::LinearSketch;
+use dsg_spanner::baswana_sen;
 use dsg_sparsifier::Laplacian;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -192,14 +193,6 @@ proptest! {
     }
 }
 
-/// Builds every artifact of a snapshot, so the *next* epoch's builders
-/// find a patchable predecessor.
-fn touch_artifacts(snap: &EpochSnapshot) {
-    let _ = snap.forest();
-    let _ = snap.oracle();
-    let _ = snap.cut_data();
-}
-
 /// Full bit-identity check between two epoch snapshots of the same
 /// stream position: sketch bytes, sealed segment, forest edge set +
 /// labels + component count, every oracle distance row, and the cut
@@ -301,13 +294,14 @@ fn replace_all(live: &mut HashSet<Edge>, n: usize, rng: &mut u64) -> Vec<StreamU
     batch
 }
 
-/// The incremental contract end to end: N successive epochs advanced
-/// incrementally (each patching the previous epoch's forest and oracle
-/// with the segment diff, and building its cut Laplacian from the
-/// segment) are bit-identical — sketch bytes, forest, labels, oracle
-/// distances, cut Laplacian — to the same epochs each built from
-/// scratch off the full stream, at several churn levels up to replacing
-/// every live edge (`frac` 1.0).
+/// The epoch-chain contract end to end: N successive epochs advanced on
+/// one graph (each re-merging only its dirty vertices into the previous
+/// epoch's sketch, and building its artifacts once from its own segment)
+/// are bit-identical — sketch bytes, forest, labels, oracle distances,
+/// cut Laplacian — to the same epochs each built from scratch off the
+/// full stream, at several churn levels up to replacing every live edge
+/// (`frac` 1.0). Every epoch's oracle is the Baswana–Sen spanner of its
+/// own segment's live graph.
 #[test]
 fn incremental_epoch_chain_matches_scratch_builds() {
     let n = 30;
@@ -318,7 +312,7 @@ fn incremental_epoch_chain_matches_scratch_builds() {
         let chained = reg.create("g", config).unwrap();
         let mut cumulative: Vec<StreamUpdate> = GraphStream::insert_only(&g, 32).updates().to_vec();
         chained.apply(&cumulative).unwrap();
-        touch_artifacts(&chained.advance_epoch());
+        chained.advance_epoch();
         let mut live: HashSet<Edge> = g.edges().iter().copied().collect();
         let mut rng = 0xDEAD_BEEF ^ (frac.to_bits());
         for epoch in 0..4 {
@@ -330,23 +324,20 @@ fn incremental_epoch_chain_matches_scratch_builds() {
             chained.apply(&batch).unwrap();
             cumulative.extend_from_slice(&batch);
             let snap = chained.advance_epoch();
-            touch_artifacts(&snap);
             let scratch = epoch_of(config, &cumulative);
-            assert_bit_identical(
-                &snap,
-                &scratch,
-                &format!("chain epoch {epoch}, churn {frac}"),
+            let ctx = format!("chain epoch {epoch}, churn {frac}");
+            assert_bit_identical(&snap, &scratch, &ctx);
+            let bs07 = baswana_sen::build_spanner(
+                &snap.net_edges().final_graph(),
+                config.spanner_k,
+                config.oracle_params().seed,
+            );
+            assert_eq!(
+                snap.oracle().spanner().edges(),
+                bs07.edges(),
+                "served spanner is not BS07 of the segment: {ctx}"
             );
         }
-        // The chain must actually have exercised the patch path: the
-        // forest and oracle of every post-warmup epoch patch, at any
-        // churn (the cut Laplacian has no patch path).
-        let stats = chained.epoch_stats();
-        assert_eq!(
-            stats.incremental_builds, 8,
-            "4 epochs x 2 artifacts patched (churn {frac})"
-        );
-        assert!(stats.last_patch_nanos > 0, "patch duration recorded");
     }
 }
 

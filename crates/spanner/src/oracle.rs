@@ -260,32 +260,6 @@ impl DistanceOracle {
         cache.rows.insert(u, Arc::new(row));
     }
 
-    /// Seeds this oracle's cache with distance rows carried over from a
-    /// previous epoch's oracle: every cached row of `prev` whose source
-    /// passes `keep` is inserted, in `prev`'s insertion order (so FIFO
-    /// age carries over). Rows are `Arc`-shared — warming copies
-    /// pointers, not distances.
-    ///
-    /// The caller must only approve sources whose row is provably
-    /// unchanged — e.g. sources whose spanner component contains no
-    /// endpoint of any added or removed spanner edge. Approving a stale
-    /// source serves stale distances; this method cannot check that.
-    pub fn warm_from(&self, prev: &DistanceOracle, keep: &dyn Fn(Vertex) -> bool) {
-        let carried: Vec<(Vertex, Arc<Vec<u32>>)> = {
-            let prev_cache = prev.cache.lock().expect("oracle cache poisoned");
-            prev_cache
-                .order
-                .iter()
-                .filter(|&&src| keep(src))
-                .filter_map(|&src| prev_cache.rows.get(&src).map(|r| (src, Arc::clone(r))))
-                .collect()
-        };
-        let mut cache = self.cache.lock().expect("oracle cache poisoned");
-        for (src, row) in carried {
-            cache.insert(src, row);
-        }
-    }
-
     /// All estimates from a single source (one BFS, memoized).
     pub fn estimates_from(&self, u: Vertex) -> Vec<Option<u32>> {
         self.distances_from(u)
@@ -438,22 +412,6 @@ mod tests {
         assert_eq!(oracle.estimate(0, 10), Some(0), "poison must be served");
         // A fresh clone (cold cache) recomputes honestly.
         assert_eq!(oracle.clone().estimate(0, 10), honest);
-    }
-
-    #[test]
-    fn warm_from_carries_only_approved_rows() {
-        let (_, oracle) = oracle_for(40, 2, 9);
-        let _ = oracle.estimate(3, 10); // row(3) cached
-        let _ = oracle.estimate(4, 10); // row(4) cached
-        let fresh = oracle.clone();
-        fresh.warm_from(&oracle, &|src| src == 3);
-        // Source 3 is warm: the first query is a hit and matches the
-        // donor's answer. Source 4 was filtered out, so it misses.
-        let d = fresh.estimate(3, 11);
-        assert_eq!(fresh.cache_stats(), CacheStats { hits: 1, misses: 0 });
-        assert_eq!(d, oracle.estimate(3, 11));
-        let _ = fresh.estimate(4, 11);
-        assert_eq!(fresh.cache_stats().misses, 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::cluster::{ClusterForest, NodeId};
 use crate::params::SpannerParams;
 use dsg_graph::stream::StreamUpdate;
-use dsg_graph::{index_to_pair, Edge, Graph, SegmentDelta, StreamAlgorithm, Vertex};
+use dsg_graph::{index_to_pair, Edge, Graph, StreamAlgorithm, Vertex};
 use dsg_hash::{KWiseHash, SeedTree, SubsetSampler};
 use dsg_sketch::onesparse::OneSparseCell;
 use dsg_sketch::ssparse::{RecoveryFamily, RecoveryState};
@@ -51,18 +51,6 @@ pub struct TwoPassStats {
     pub num_terminals: usize,
 }
 
-/// One terminal's decoded contribution to the spanner: the edges its
-/// tables recovered (each goes into both the spanner and `Ω(R)`) and the
-/// decode failures tallied while recovering them. Cached per terminal
-/// identity so a patch can replay the terminals whose tables it left
-/// untouched instead of re-decoding them.
-#[derive(Debug, Clone, Default)]
-struct TerminalDecode {
-    edges: Vec<Edge>,
-    table_failures: usize,
-    inner_failures: usize,
-}
-
 /// The result of a completed two-pass run.
 #[derive(Debug, Clone)]
 pub struct TwoPassOutput {
@@ -79,8 +67,7 @@ pub struct TwoPassOutput {
 }
 
 /// The two-pass streaming spanner algorithm. [`build`](Self::build) runs
-/// both passes over a net edge multiset and [`patch`](Self::patch) moves
-/// the finished instance to the next segment; it also implements
+/// both passes over a net edge multiset; it also implements
 /// [`StreamAlgorithm`], so [`dsg_graph::pass::run`] drives it over a raw
 /// stream.
 #[derive(Debug, Clone)]
@@ -98,9 +85,7 @@ pub struct TwoPassSpanner {
     sketch_families: Vec<Vec<RecoveryFamily>>,
     /// Fingerprint hash of the inner neighborhood cells, per `j`.
     inner_hashes: Vec<KWiseHash>,
-    /// Pass-1 states `S^{r,j}(u)`, allocated lazily. Kept after
-    /// `build_clusters`: they are the linear state a
-    /// [`patch`](TwoPassSpanner::patch) moves to the next segment.
+    /// Pass-1 states `S^{r,j}(u)`, allocated lazily.
     s_states: HashMap<(Vertex, u8, u8), RecoveryState>,
     /// The forest (centers fixed at construction; edges added after pass 1).
     forest: Option<ClusterForest>,
@@ -115,13 +100,6 @@ pub struct TwoPassSpanner {
     current_pass: usize,
     stats: TwoPassStats,
     output: Option<TwoPassOutput>,
-    /// Per-terminal decode results of the last `build_spanner`, keyed
-    /// by terminal identity.
-    spanner_cache: HashMap<NodeId, TerminalDecode>,
-    /// Set by [`patch`](TwoPassSpanner::patch) before `build_spanner`:
-    /// indices into `terminals` whose tables changed since the last
-    /// decode. `None` (the full-build default) decodes every terminal.
-    dirty_tables: Option<HashSet<usize>>,
 }
 
 impl TwoPassSpanner {
@@ -178,16 +156,11 @@ impl TwoPassSpanner {
             current_pass: 0,
             stats: TwoPassStats::default(),
             output: None,
-            spanner_cache: HashMap::new(),
-            dirty_tables: None,
         }
     }
 
     /// Runs both passes over the **net edge multiset** `view` and returns
-    /// the finished instance: its output is in [`output`](Self::output),
-    /// and it holds every pass state (the pass-1 sketches *and* the
-    /// pass-2 tables), so it can be [`patch`](Self::patch)ed to the next
-    /// segment.
+    /// the finished instance; its output is in [`output`](Self::output).
     ///
     /// Each pass costs O(current edges) rather than O(stream length), and
     /// the output is bit-identical to [`dsg_graph::pass::run`] over any
@@ -240,23 +213,14 @@ impl TwoPassSpanner {
         self.output
     }
 
-    /// Borrows the output if both passes ran (the instance stays alive to
-    /// be patched again).
+    /// Borrows the output if both passes ran.
     pub fn output(&self) -> Option<&TwoPassOutput> {
         self.output.as_ref()
     }
 
     fn process_pass1(&mut self, up: &StreamUpdate) {
-        self.pass1_apply(up.edge, up.delta as i128);
-    }
-
-    /// One pass-1 sketch update of `edge` with an arbitrary signed
-    /// multiplicity `delta` — shared by stream processing (`delta = ±1`)
-    /// and segment-delta patching (`delta` up to a full multiplicity).
-    /// Every touched state is linear in `delta`, so one call with `delta
-    /// = m` is bit-identical to `m` unit calls.
-    fn pass1_apply(&mut self, edge: Edge, delta: i128) {
-        let coord = edge.index(self.n);
+        let delta = up.delta as i128;
+        let coord = up.edge.index(self.n);
         // Which E_j contain this coordinate (independent per level).
         let js: Vec<u8> = (0..self.edge_levels)
             .filter(|&j| self.edge_samplers[j].contains(coord))
@@ -266,7 +230,7 @@ impl TwoPassSpanner {
             return;
         }
         let forest = self.forest.as_ref().expect("pass 1 forest present");
-        let (eu, ev) = edge.endpoints();
+        let (eu, ev) = up.edge.endpoints();
         for (a, b) in [(eu, ev), (ev, eu)] {
             for r in 0..self.k {
                 if !forest.is_center(r, b) {
@@ -349,13 +313,15 @@ impl TwoPassSpanner {
             .collect();
         self.stats.num_terminals = self.terminals.len();
         self.forest = Some(forest);
+        // Nothing reads the pass-1 sketches once the forest is built, so
+        // pass 2 does not hold them too.
+        self.s_states = HashMap::new();
     }
 
     /// The pass-2 tables `H^t_j` of one terminal, seeded by the
     /// terminal's *identity* `(level, root)` — not by its index in the
     /// terminal list — so the same terminal draws the same randomness in
-    /// every epoch. That is what lets [`patch`](Self::patch) keep a
-    /// persisting terminal's retained table across a terminal-set change.
+    /// every segment the terminal appears in.
     fn fresh_terminal_tables(&self, t: NodeId) -> Vec<LinearHashTable> {
         let tree = SeedTree::new(self.params.seed ^ 0x5441_424C_4553_3253); // "TABLES2S"
         let key = (u64::from(t.level) << 32) | u64::from(t.root);
@@ -375,62 +341,28 @@ impl TwoPassSpanner {
     }
 
     fn process_pass2(&mut self, up: &StreamUpdate) {
-        self.pass2_apply(up.edge, up.delta as i128);
-    }
-
-    /// One pass-2 table update of `edge` with an arbitrary signed
-    /// multiplicity `delta` (see [`pass1_apply`](Self::pass1_apply) for
-    /// why the two are interchangeable with unit updates).
-    fn pass2_apply(&mut self, edge: Edge, delta: i128) {
-        let (eu, ev) = edge.endpoints();
+        let delta = up.delta as i128;
+        let (eu, ev) = up.edge.endpoints();
         let (ta, tb) = (self.class_of[eu as usize], self.class_of[ev as usize]);
         if ta == tb {
             return; // both endpoints in the same terminal cluster
         }
-        self.pass2_apply_side(eu, ev, ta, delta);
-        self.pass2_apply_side(ev, eu, tb, delta);
-    }
-
-    /// One directed half of a pass-2 update: `inside`'s neighborhood
-    /// cell, keyed by `outside`, weighted `delta`, into table bank `t`
-    /// (an index into `tables`). Split out so [`patch`](Self::patch) can
-    /// route a contribution under the *previous* epoch's classes.
-    fn pass2_apply_side(&mut self, inside: Vertex, outside: Vertex, t: usize, delta: i128) {
-        for j in 0..self.vertex_levels {
-            if self.vertex_samplers[j].contains(inside as u64) {
-                let mut cell = OneSparseCell::new();
-                cell.update(inside as u64, delta, &self.inner_hashes[j]);
-                self.tables[t][j].update(outside as u64, &cell.to_words());
+        for (inside, outside, t) in [(eu, ev, ta), (ev, eu, tb)] {
+            for j in 0..self.vertex_levels {
+                if self.vertex_samplers[j].contains(inside as u64) {
+                    let mut cell = OneSparseCell::new();
+                    cell.update(inside as u64, delta, &self.inner_hashes[j]);
+                    self.tables[t][j].update(outside as u64, &cell.to_words());
+                }
             }
         }
     }
 
     /// Algorithm 2, lines 19–33: assembles the spanner.
-    ///
-    /// A terminal's contribution is a deterministic function of its
-    /// tables alone, so the per-terminal decodes are cached by terminal
-    /// identity and replayed for terminals whose tables the preceding
-    /// [`patch`](Self::patch) left untouched (`dirty_tables`); a full
-    /// build decodes everything.
     fn build_spanner(&mut self) {
         let forest = self.forest.take().expect("forest present");
         let mut edges: HashSet<Edge> = forest.witness_edges().into_iter().collect();
-        let dirty = self.dirty_tables.take();
         for ti in 0..self.terminals.len() {
-            let t = self.terminals[ti];
-            let clean = dirty.as_ref().is_some_and(|d| !d.contains(&ti));
-            if clean {
-                if let Some(cached) = self.spanner_cache.get(&t) {
-                    for &e in &cached.edges {
-                        edges.insert(e);
-                        self.observed.insert(e);
-                    }
-                    self.stats.table_decode_failures += cached.table_failures;
-                    self.stats.inner_decode_failures += cached.inner_failures;
-                    continue;
-                }
-            }
-            let mut dec = TerminalDecode::default();
             // Decode all tables of this terminal, sparsest level first.
             let decoded: Vec<Option<HashMap<u64, [i128; 3]>>> = (0..self.vertex_levels)
                 .map(|j| match self.tables[ti][j].decode() {
@@ -441,7 +373,7 @@ impl TwoPassSpanner {
                             .collect(),
                     ),
                     Err(_) => {
-                        dec.table_failures += 1;
+                        self.stats.table_decode_failures += 1;
                         None
                     }
                 })
@@ -456,31 +388,23 @@ impl TwoPassSpanner {
                     let Some(table) = &decoded[j] else { continue };
                     let Some(words) = table.get(&v) else { continue };
                     let Ok(cell) = OneSparseCell::from_words(words) else {
-                        dec.inner_failures += 1;
+                        self.stats.inner_decode_failures += 1;
                         continue;
                     };
                     match cell.decode(&self.inner_hashes[j]) {
                         Ok(Some((w, _))) if w != v && w < self.n as u64 => {
                             let e = Edge::new(w as Vertex, v as Vertex);
-                            dec.edges.push(e);
+                            edges.insert(e);
+                            self.observed.insert(e);
                             break;
                         }
-                        Ok(Some(_)) => dec.inner_failures += 1,
+                        Ok(Some(_)) => self.stats.inner_decode_failures += 1,
                         Ok(None) => {} // empty at this level: descend
-                        Err(_) => dec.inner_failures += 1,
+                        Err(_) => self.stats.inner_decode_failures += 1,
                     }
                 }
             }
-            for &e in &dec.edges {
-                edges.insert(e);
-                self.observed.insert(e);
-            }
-            self.stats.table_decode_failures += dec.table_failures;
-            self.stats.inner_decode_failures += dec.inner_failures;
-            self.spanner_cache.insert(t, dec);
         }
-        let live: HashSet<NodeId> = self.terminals.iter().copied().collect();
-        self.spanner_cache.retain(|t, _| live.contains(t));
         let spanner = Graph::from_edges(self.n, edges);
         let mut observed: Vec<Edge> = self.observed.iter().copied().collect();
         observed.sort_unstable();
@@ -490,165 +414,6 @@ impl TwoPassSpanner {
             observed_edges: observed,
             stats: self.stats.clone(),
         });
-    }
-
-    /// Advances a completed run to the segment `cur` in O(changes) ingest
-    /// work, returning output **bit-identical** to a from-scratch
-    /// [`build`](Self::build) over `cur`, at any churn.
-    ///
-    /// Why this is exact and not heuristic: every stream-facing state is
-    /// a linear function of the net multiset, so applying the per-edge
-    /// multiplicity deltas of `delta` to the retained pass-1 states
-    /// yields the very states a full ingest of `cur` would produce — and
-    /// everything downstream (forest, terminals, spanner) is a
-    /// deterministic decode of those states. Pass 2 splits:
-    ///
-    /// - if the re-derived terminal list and chain classes are unchanged,
-    ///   the retained tables are patched with the delta edges alone —
-    ///   sound because a terminal's table content depends only on that
-    ///   terminal's member set and the net multiset;
-    /// - otherwise the retained tables are *repaired* in O(changes +
-    ///   deg(moved vertices)): tables are identity-keyed (see
-    ///   `fresh_terminal_tables`), so a persisting terminal's table
-    ///   stays valid; the delta is applied
-    ///   under the old classes, carrying every persisting table to
-    ///   `cur`'s content *as routed by the old classes*; then every
-    ///   `cur` edge incident to a vertex whose terminal identity changed
-    ///   has its old-routed contribution subtracted and its new-routed
-    ///   one added. An edge whose endpoints both kept their terminal
-    ///   identity routes the same either way (same gate, same target
-    ///   identity, same seeds), and every member of a new terminal is by
-    ///   definition a moved vertex — so nothing else needs touching.
-    ///
-    /// `delta` must be `cur.diff(&prev)` for the segment `prev` this
-    /// instance currently represents; feeding a mismatched delta silently
-    /// moves the states to a segment that is neither.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instance has not completed both passes, or `cur`
-    /// disagrees on the vertex count.
-    pub fn patch<M>(&mut self, delta: &SegmentDelta, cur: &M) -> &TwoPassOutput
-    where
-        M: dsg_graph::EdgeMultiset + ?Sized,
-    {
-        assert!(self.output.is_some(), "patch requires a completed run");
-        assert_eq!(cur.num_vertices(), self.n, "vertex count mismatch");
-
-        // Fresh forest first: centers are a function of (n, k, seed)
-        // only, and pass-1 patching consults center membership.
-        self.forest = Some(ClusterForest::new(self.n, self.k, self.params.seed));
-        self.observed.clear();
-        self.stats = TwoPassStats::default();
-
-        // Pass 1 in O(changes): move the retained linear states to `cur`.
-        let mut ups: Vec<(Edge, i128)> = Vec::new();
-        delta.for_each_multiplicity_delta(&mut |e, d, _| ups.push((e, d)));
-        for &(e, d) in &ups {
-            self.pass1_apply(e, d);
-        }
-        self.stats.pass1_bytes = self.pass_bytes(0);
-        let prev_terminals = std::mem::take(&mut self.terminals);
-        let prev_class = std::mem::take(&mut self.class_of);
-        self.build_clusters();
-
-        let mut dirty: HashSet<usize> = HashSet::new();
-        if self.terminals == prev_terminals && self.class_of == prev_class {
-            // Identical terminal structure: the delta edges alone carry
-            // the retained tables to `cur`'s tables.
-            for &(e, d) in &ups {
-                let (eu, ev) = e.endpoints();
-                let (ta, tb) = (self.class_of[eu as usize], self.class_of[ev as usize]);
-                if ta != tb {
-                    dirty.insert(ta);
-                    dirty.insert(tb);
-                }
-                self.pass2_apply(e, d);
-            }
-        } else {
-            // Re-key the retained tables by terminal identity: a
-            // persisting terminal keeps its table wherever it lands in
-            // the new order; new terminals start from zero.
-            let old_index: HashMap<NodeId, usize> = prev_terminals
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (t, i))
-                .collect();
-            let new_index: HashMap<NodeId, usize> = self
-                .terminals
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (t, i))
-                .collect();
-            let new_of_old: Vec<Option<usize>> = prev_terminals
-                .iter()
-                .map(|t| new_index.get(t).copied())
-                .collect();
-            let mut old_tables: Vec<Option<Vec<LinearHashTable>>> =
-                std::mem::take(&mut self.tables)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-            let mut tables = Vec::with_capacity(self.terminals.len());
-            for (ni, t) in self.terminals.iter().enumerate() {
-                if let Some(&oi) = old_index.get(t) {
-                    tables.push(old_tables[oi].take().expect("terminals are distinct"));
-                } else {
-                    dirty.insert(ni);
-                    tables.push(self.fresh_terminal_tables(*t));
-                }
-            }
-            self.tables = tables;
-
-            // The delta under the OLD routing: persisting tables now
-            // hold every `cur` edge's old-routed contribution.
-            for &(e, d) in &ups {
-                let (eu, ev) = e.endpoints();
-                let (oa, ob) = (prev_class[eu as usize], prev_class[ev as usize]);
-                if oa == ob {
-                    continue;
-                }
-                for (inside, outside, oc) in [(eu, ev, oa), (ev, eu, ob)] {
-                    if let Some(ni) = new_of_old[oc] {
-                        dirty.insert(ni);
-                        self.pass2_apply_side(inside, outside, ni, d);
-                    }
-                }
-            }
-
-            // Re-route every `cur` edge incident to a vertex whose
-            // terminal identity changed: subtract the old-routed
-            // contribution, add the new-routed one.
-            let moved: Vec<bool> = (0..self.n)
-                .map(|v| prev_terminals[prev_class[v]] != self.terminals[self.class_of[v]])
-                .collect();
-            cur.for_each_net_edge(&mut |ne| {
-                let (eu, ev) = ne.edge.endpoints();
-                if !moved[eu as usize] && !moved[ev as usize] {
-                    return;
-                }
-                let m = ne.multiplicity as i128;
-                let (oa, ob) = (prev_class[eu as usize], prev_class[ev as usize]);
-                if oa != ob {
-                    for (inside, outside, oc) in [(eu, ev, oa), (ev, eu, ob)] {
-                        if let Some(ni) = new_of_old[oc] {
-                            dirty.insert(ni);
-                            self.pass2_apply_side(inside, outside, ni, -m);
-                        }
-                    }
-                }
-                let (na, nb) = (self.class_of[eu as usize], self.class_of[ev as usize]);
-                if na != nb {
-                    dirty.insert(na);
-                    dirty.insert(nb);
-                    self.pass2_apply(ne.edge, m);
-                }
-            });
-        }
-        self.stats.pass2_bytes = self.pass_bytes(1);
-        self.dirty_tables = Some(dirty);
-        self.build_spanner();
-        self.output.as_ref().expect("patched run completed")
     }
 
     /// Bytes of the shared randomness: samplers, sketch families and the
@@ -678,20 +443,6 @@ impl TwoPassSpanner {
             .map(|row| row.iter().map(SpaceUsage::space_bytes).sum::<usize>())
             .sum()
     }
-
-    /// The sketch bytes pass `pass` needs: the shared randomness plus that
-    /// pass's own linear state (the pass-1 recovery states, or the pass-2
-    /// tables). The instance keeps both after a run so it can be patched,
-    /// but no pass reads the other's state, so these are the figures
-    /// Theorem 1 bounds.
-    fn pass_bytes(&self, pass: usize) -> usize {
-        let state = if pass == 0 {
-            self.states_bytes()
-        } else {
-            self.tables_bytes()
-        };
-        self.randomness_bytes() + state
-    }
 }
 
 impl StreamAlgorithm for TwoPassSpanner {
@@ -719,11 +470,14 @@ impl StreamAlgorithm for TwoPassSpanner {
     }
 
     fn end_pass(&mut self, pass: usize) {
+        // Each pass holds only its own state (pass-2 tables are set up
+        // after pass 1, pass-1 sketches freed before pass 2), so these
+        // are the per-pass figures Theorem 1 bounds.
         if pass == 0 {
-            self.stats.pass1_bytes = self.pass_bytes(0);
+            self.stats.pass1_bytes = self.space_bytes();
             self.build_clusters();
         } else {
-            self.stats.pass2_bytes = self.pass_bytes(1);
+            self.stats.pass2_bytes = self.space_bytes();
             self.build_spanner();
         }
     }
@@ -951,120 +705,18 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_replay_stats_and_full_replacement_patch() {
-        // `build` keeps both passes' state, but the per-pass byte counts
-        // it reports are those of a replay of the raw stream, so the
+    fn build_matches_replay_stats() {
+        // A build over the net multiset reports the same output and
+        // per-pass byte counts as a replay of the raw stream, so the
         // space tables do not depend on which one ran.
         let params = SpannerParams::new(2, 43);
         let g = gen::erdos_renyi(40, 0.2, 41);
         let stream = GraphStream::with_churn(&g, 1.0, 42);
         let raw = replay(&stream, params);
-        let prev_net = stream.net_multiset();
-        let mut alg = TwoPassSpanner::build(&prev_net, params);
-        let net = alg.output().expect("both passes ran");
+        let net = built(&stream.net_multiset(), params);
         assert_eq!(raw.stats, net.stats);
         assert!(net.stats.pass1_bytes > 0 && net.stats.pass2_bytes > 0);
         assert_eq!(raw.spanner.edges(), net.spanner.edges());
         assert_eq!(raw.observed_edges, net.observed_edges);
-
-        // Every live edge deleted and as many fresh ones inserted: the
-        // patch touches every state and every terminal, and must still
-        // land on exactly what a build of the new segment yields.
-        let fresh: Vec<Edge> = (0..40 as Vertex)
-            .flat_map(|u| ((u + 1)..40).map(move |v| Edge::new(u, v)))
-            .filter(|e| !g.has_edge(e.u(), e.v()))
-            .take(g.num_edges())
-            .collect();
-        assert_eq!(fresh.len(), g.num_edges());
-        let cur_net = GraphStream::insert_only(&Graph::from_edges(40, fresh), 47).net_multiset();
-        let delta = cur_net.diff(&prev_net);
-        assert_eq!(delta.num_changes(), 2 * g.num_edges());
-        let patched = alg.patch(&delta, &cur_net);
-        let full = built(&cur_net, params);
-        assert_eq!(patched.spanner.edges(), full.spanner.edges());
-        assert_eq!(patched.observed_edges, full.observed_edges);
-        assert_eq!(patched.forest.witness_edges(), full.forest.witness_edges());
-        assert_eq!(patched.stats, full.stats);
-    }
-
-    /// Perturbs `frac` of the live pairs of `g` (half removed, half
-    /// replaced by fresh non-edges) — a churned "next epoch" live graph.
-    fn churned(g: &Graph, frac: f64, seed: u64) -> Graph {
-        let n = g.num_vertices();
-        let mut edges: Vec<Edge> = g.edges().to_vec();
-        let kill = ((edges.len() as f64 * frac).ceil() as usize).min(edges.len());
-        // Deterministic pseudo-shuffle by hashing positions.
-        edges.sort_unstable_by_key(|e| e.index(n).wrapping_mul(seed | 1));
-        let mut replaced = 0usize;
-        let survivors: Vec<Edge> = edges[kill..].to_vec();
-        let mut out: std::collections::HashSet<Edge> = survivors.into_iter().collect();
-        'hunt: for u in 0..n as Vertex {
-            for v in (u + 1)..n as Vertex {
-                if replaced >= kill / 2 {
-                    break 'hunt;
-                }
-                let e = Edge::new(u, v);
-                if !g.has_edge(u, v) && !out.contains(&e) {
-                    out.insert(e);
-                    replaced += 1;
-                }
-            }
-        }
-        Graph::from_edges(n, out)
-    }
-
-    #[test]
-    fn patch_is_bit_identical_to_full_rebuild_at_every_churn_level() {
-        // The tentpole contract: patched output ≡ from-scratch output, at
-        // light churn (fast pass-2 path likely) and heavy churn (terminal
-        // structure moves, fallback pass-2 path) alike.
-        let params = SpannerParams::new(2, 51);
-        let g = gen::erdos_renyi(50, 0.25, 52);
-        let prev_net = GraphStream::with_churn(&g, 1.0, 53).net_multiset();
-        for (frac, seed) in [(0.02, 54u64), (0.1, 55), (0.5, 56), (1.0, 57)] {
-            let cur_graph = churned(&g, frac, seed);
-            let cur_net = GraphStream::insert_only(&cur_graph, seed).net_multiset();
-            let delta = cur_net.diff(&prev_net);
-            assert!(!delta.is_empty(), "churn {frac} must change something");
-
-            let mut alg = TwoPassSpanner::build(&prev_net, params);
-            let patched = alg.patch(&delta, &cur_net);
-            let full = built(&cur_net, params);
-            assert_eq!(
-                patched.spanner.edges(),
-                full.spanner.edges(),
-                "churn {frac}"
-            );
-            assert_eq!(patched.observed_edges, full.observed_edges, "churn {frac}");
-            assert_eq!(
-                patched.forest.witness_edges(),
-                full.forest.witness_edges(),
-                "churn {frac}"
-            );
-            assert_eq!(patched.stats.num_terminals, full.stats.num_terminals);
-        }
-    }
-
-    #[test]
-    fn patch_chain_stays_identical_across_epochs() {
-        // A chain of patches (each epoch patched from the last) must not
-        // drift: epoch t's patched output equals a from-scratch build.
-        let params = SpannerParams::new(2, 61);
-        let mut live = gen::erdos_renyi(40, 0.2, 62);
-        let mut net = GraphStream::insert_only(&live, 63).net_multiset();
-        let mut alg = TwoPassSpanner::build(&net, params);
-        for epoch in 0..4u64 {
-            live = churned(&live, 0.08, 64 + epoch);
-            let next = GraphStream::insert_only(&live, 65 + epoch).net_multiset();
-            let patched = alg.patch(&next.diff(&net), &next);
-            let full = built(&next, params);
-            assert_eq!(
-                patched.spanner.edges(),
-                full.spanner.edges(),
-                "epoch {epoch}"
-            );
-            assert_eq!(patched.observed_edges, full.observed_edges, "epoch {epoch}");
-            net = next;
-        }
     }
 }

@@ -81,10 +81,6 @@ pub enum EventKind {
     /// The accuracy auditor caught a served answer outside its guarantee;
     /// payload = query variant index.
     QualityViolation = 20,
-    /// A derived artifact was refreshed by patching the previous epoch's
-    /// artifact with the segment diff instead of a full rebuild;
-    /// payload = artifact index.
-    ArtifactPatch = 21,
 }
 
 impl EventKind {
@@ -111,7 +107,6 @@ impl EventKind {
             EventKind::RecoveryWalOpen => "recovery_wal_open",
             EventKind::SlowQuery => "slow_query",
             EventKind::QualityViolation => "quality_violation",
-            EventKind::ArtifactPatch => "artifact_patch",
         }
     }
 
@@ -137,7 +132,6 @@ impl EventKind {
             18 => EventKind::RecoveryWalOpen,
             19 => EventKind::SlowQuery,
             20 => EventKind::QualityViolation,
-            21 => EventKind::ArtifactPatch,
             _ => return None,
         })
     }

@@ -10,8 +10,8 @@ use dsg_agm::AgmSketch;
 use dsg_graph::components::UnionFind;
 use dsg_graph::{gen, GraphStream, StreamUpdate, Vertex};
 use dsg_service::{GraphConfig, GraphRegistry, LoadGen, Query, QueryMix, QueryService, Response};
+use dsg_spanner::baswana_sen;
 use dsg_spanner::oracle::DistanceOracle;
-use dsg_spanner::TwoPassSpanner;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -36,13 +36,13 @@ fn offline_forest(
     (forest.edges, labels)
 }
 
-/// Single-threaded ground-truth distance oracle over a frozen prefix.
+/// Single-threaded ground-truth distance oracle over a frozen prefix:
+/// the Baswana–Sen spanner of the prefix's final graph, stretch `2k − 1`.
 fn offline_oracle(config: &GraphConfig, prefix: &[StreamUpdate]) -> DistanceOracle {
     let stream = GraphStream::new(config.n, prefix.to_vec());
-    let mut alg = TwoPassSpanner::new(config.n, config.oracle_params());
-    dsg_graph::pass::run(&mut alg, &stream);
-    let out = alg.into_output().expect("both passes ran");
-    DistanceOracle::new(out.spanner, 1 << config.spanner_k)
+    let p = config.oracle_params();
+    let spanner = baswana_sen::build_spanner(&stream.final_graph(), p.k, p.seed);
+    DistanceOracle::new(spanner, config.oracle_stretch())
 }
 
 proptest! {
