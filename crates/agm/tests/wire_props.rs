@@ -2,7 +2,8 @@
 //! implementor (the other four live in `crates/sketch/tests/wire_props.rs`):
 //! shard-split invariance and wire roundtrip, both down to canonical
 //! snapshot bytes, plus forest-answer equality after a split. Also pins
-//! that every implementor rejects frames of the retired kinds 5–7.
+//! that every implementor rejects frames of the retired kinds 5–7 and of
+//! the retired wire version 2.
 
 use dsg_agm::AgmSketch;
 use dsg_graph::ids::num_pairs;
@@ -104,21 +105,57 @@ fn check_rejects_retired_kinds<S: LinearSketch>(sketch: &S) {
     }
 }
 
-#[test]
-fn retired_kinds_are_rejected_by_every_decoder() {
+/// Re-stamps `S`'s own valid frame as wire version 2 (the retired
+/// trace-trailer format) and checks that the header peek and the decoder
+/// both answer `BadVersion(2)`.
+fn check_rejects_retired_version<S: LinearSketch>(sketch: &S) {
+    let mut frame = sketch.to_bytes();
+    frame[4..6].copy_from_slice(&wire::RETIRED_VERSION.to_le_bytes());
+    assert_eq!(wire::peek_kind(&frame), Err(WireError::BadVersion(2)));
+    match S::from_bytes(&frame) {
+        Err(WireError::BadVersion(2)) => {}
+        Err(other) => panic!("kind {}: expected BadVersion(2), got {other}", S::WIRE_KIND),
+        Ok(_) => panic!("kind {} decoded a version-2 frame", S::WIRE_KIND),
+    }
+}
+
+/// One small non-empty sketch of every implementor.
+fn every_implementor() -> (
+    AgmSketch,
+    SparseRecovery,
+    L0Sampler,
+    DistinctEstimator,
+    LinearHashTable,
+) {
     let mut agm = AgmSketch::new(N, 3);
     agm.update(Edge::new(0, 1), 1);
-    check_rejects_retired_kinds(&agm);
     let mut sr = SparseRecovery::new(8, 3);
     sr.update(5, 2);
-    check_rejects_retired_kinds(&sr);
     let mut l0 = L0Sampler::new(6, 3);
     LinearSketch::update(&mut l0, 5, 2);
-    check_rejects_retired_kinds(&l0);
     let mut distinct = DistinctEstimator::new(6, 0.5, 3, 3);
     LinearSketch::update(&mut distinct, 5, 2);
-    check_rejects_retired_kinds(&distinct);
     let mut table = LinearHashTable::new(8, 1, 3);
     LinearSketch::update(&mut table, 5, 2);
+    (agm, sr, l0, distinct, table)
+}
+
+#[test]
+fn retired_kinds_are_rejected_by_every_decoder() {
+    let (agm, sr, l0, distinct, table) = every_implementor();
+    check_rejects_retired_kinds(&agm);
+    check_rejects_retired_kinds(&sr);
+    check_rejects_retired_kinds(&l0);
+    check_rejects_retired_kinds(&distinct);
     check_rejects_retired_kinds(&table);
+}
+
+#[test]
+fn retired_version_is_rejected_by_every_decoder() {
+    let (agm, sr, l0, distinct, table) = every_implementor();
+    check_rejects_retired_version(&agm);
+    check_rejects_retired_version(&sr);
+    check_rejects_retired_version(&l0);
+    check_rejects_retired_version(&distinct);
+    check_rejects_retired_version(&table);
 }

@@ -1,5 +1,5 @@
-//! The experiment harness: regenerates every experiment table in
-//! `EXPERIMENTS.md` (see DESIGN.md's experiment index E1–E25).
+//! The experiment harness: regenerates every experiment table of
+//! DESIGN.md's experiment index (E1–E17).
 //!
 //! Usage:
 //!

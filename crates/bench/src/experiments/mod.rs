@@ -1,20 +1,11 @@
-//! One module per experiment family; each `run` prints the tables recorded
-//! in `EXPERIMENTS.md`.
+//! One module per experiment family; each `run` prints the tables of one
+//! row of DESIGN.md's experiment index (E1–E17).
 
 pub mod additive_exps;
-pub mod audit_exps;
-pub mod compaction_exps;
-pub mod engine_exps;
-pub mod incremental_exps;
 pub mod lowerbound_exps;
-pub mod partition_exps;
-pub mod service_exps;
 pub mod sketch_exps;
 pub mod spanner_exps;
 pub mod sparsifier_exps;
-pub mod store_exps;
-pub mod telemetry_exps;
-pub mod tracing_exps;
 
 use crate::Scale;
 
@@ -37,15 +28,6 @@ pub const ALL: &[&str] = &[
     "connectivity-estimates",
     "ablation-budget",
     "ablation-levels",
-    "engine",
-    "service",
-    "store",
-    "compaction",
-    "partition",
-    "telemetry",
-    "tracing",
-    "audit",
-    "incremental",
 ];
 
 /// Dispatches one experiment by name. Returns false for unknown names.
@@ -68,15 +50,6 @@ pub fn run(name: &str, scale: Scale) -> bool {
         "connectivity-estimates" => sparsifier_exps::connectivity_estimates(scale),
         "ablation-budget" => spanner_exps::ablation_budget(scale),
         "ablation-levels" => spanner_exps::ablation_levels(scale),
-        "engine" => engine_exps::engine(scale),
-        "service" => service_exps::service(scale),
-        "store" => store_exps::store(scale),
-        "compaction" => compaction_exps::compaction(scale),
-        "partition" => partition_exps::partition(scale),
-        "telemetry" => telemetry_exps::telemetry(scale),
-        "tracing" => tracing_exps::tracing(scale),
-        "audit" => audit_exps::audit(scale),
-        "incremental" => incremental_exps::incremental(scale),
         _ => return false,
     }
     true

@@ -1,7 +1,7 @@
 //! Experiment harness and benchmarks for the dynamic-stream reproduction.
 //!
 //! Every quantitative claim of the paper (see `DESIGN.md`, experiment index
-//! E1–E20) is regenerated by a subcommand of the `experiments` binary:
+//! E1–E17) is regenerated by a subcommand of the `experiments` binary:
 //!
 //! ```text
 //! cargo run --release -p dsg-bench --bin experiments -- all --quick
@@ -15,8 +15,8 @@
 pub mod experiments;
 
 /// Scale knob shared by all experiments: `quick` trims sizes/trials so the
-/// whole suite finishes in a few minutes; full mode is what
-/// `EXPERIMENTS.md` records.
+/// whole suite finishes in a few minutes; full mode is what DESIGN.md's
+/// experiment index records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Quick (CI-sized) runs.

@@ -232,8 +232,9 @@ pub struct EngineMetrics {
     /// Nanoseconds the producer spent blocked in `send` on the bounded
     /// shard channels — queue backpressure made visible.
     pub send_wait: Histogram,
-    /// Live max/mean routed-update ratio across shards (the same
-    /// statistic as [`EngineRun::load_balance`], updated per dispatch).
+    /// Live max/mean routed-update ratio across shards
+    /// ([`load_balance_ratio`] of the routed counts, updated per
+    /// dispatch).
     pub load_balance: Gauge,
     /// Flight recorder for per-batch trace events (one
     /// [`EventKind::EngineBatch`] per dispatch, under the dispatching
@@ -250,9 +251,14 @@ impl EngineMetrics {
     }
 }
 
-/// The load-balance statistic shared by [`EngineRun::load_balance`] and
-/// the live [`EngineMetrics::load_balance`] gauge: max shard load over
-/// mean shard load, `1.0` for an empty or shard-less run.
+/// The load-balance statistic of a run's
+/// [`per_shard_updates`](EngineRun::per_shard_updates) and of the live
+/// [`EngineMetrics::load_balance`] gauge: max shard load over mean shard
+/// load, `1.0` for an empty or shard-less run. `1.0` is a perfectly even
+/// split; hash-partitioning keeps this within a small constant of 1 on
+/// streams whose updates spread over many edges, while a stream dominated
+/// by a handful of hot edges can legitimately skew it (all updates for an
+/// edge *must* colocate for cancellation).
 pub fn load_balance_ratio(per_shard: &[u64]) -> f64 {
     let total: u64 = per_shard.iter().sum();
     if total == 0 || per_shard.is_empty() {
@@ -282,8 +288,8 @@ enum ShardMsg<S> {
 /// partitioning by edge identity makes insert/delete churn cancel inside
 /// the worker where it lands, keeping each shard's state O(live subgraph
 /// ∩ shard) instead of O(stream history). Load balance comes from the
-/// hash, not from rotation — see [`EngineRun::load_balance`] for the
-/// skew diagnostic.
+/// hash, not from rotation — see [`load_balance_ratio`] for the skew
+/// diagnostic.
 #[derive(Debug)]
 pub struct ShardedEngine<S: EngineSketch> {
     senders: Vec<SyncSender<ShardMsg<S>>>,
@@ -307,22 +313,10 @@ pub struct EngineRun<S> {
     /// Updates each shard ingested. Under hash-partitioning these track
     /// how the *stream's edges* hashed across shards — near-uniform for
     /// spread-out key sets, skewed if a few hot edges dominate the
-    /// stream. Summarize with [`load_balance`](EngineRun::load_balance).
+    /// stream. Summarize with [`load_balance_ratio`].
     pub per_shard_updates: Vec<u64>,
     /// Total updates pushed through the engine.
     pub total_updates: u64,
-}
-
-impl<S> EngineRun<S> {
-    /// The load-balance ratio of the run: max shard load over mean shard
-    /// load. `1.0` is a perfectly even split; hash-partitioning keeps
-    /// this within a small constant of 1 on streams whose updates spread
-    /// over many edges, while a stream dominated by a handful of hot
-    /// edges can legitimately skew it (all updates for an edge *must*
-    /// colocate for cancellation). Returns `1.0` for an empty run.
-    pub fn load_balance(&self) -> f64 {
-        load_balance_ratio(&self.per_shard_updates)
-    }
 }
 
 impl<S: EngineSketch> EngineRun<S> {
@@ -701,7 +695,7 @@ mod tests {
         assert_eq!(run.per_shard_updates.iter().sum::<u64>(), 20_000);
         // Hash-partitioning is skew-tolerant, not perfectly even: bound
         // the max/mean load ratio instead of asserting exact counts.
-        let ratio = run.load_balance();
+        let ratio = load_balance_ratio(&run.per_shard_updates);
         assert!(
             (1.0..1.1).contains(&ratio),
             "uniform keys should balance within 10% of even, got {ratio}"
@@ -717,18 +711,18 @@ mod tests {
 
     #[test]
     fn load_balance_reports_skew() {
-        let run = EngineRun::<SparseRecovery> {
-            shards: Vec::new(),
-            per_shard_updates: vec![300, 100, 100, 100],
-            total_updates: 600,
-        };
-        assert!((run.load_balance() - 2.0).abs() < 1e-12);
-        let empty = EngineRun::<SparseRecovery> {
-            shards: Vec::new(),
-            per_shard_updates: vec![0, 0],
-            total_updates: 0,
-        };
-        assert_eq!(empty.load_balance(), 1.0);
+        // One hot key carrying half the stream colocates on its shard.
+        let cfg = EngineConfig::new(4).batch_size(64);
+        let mut eng = ShardedEngine::start(cfg, |_| SparseRecovery::new(8, 1));
+        for i in 0..300 {
+            eng.push(EdgeUpdate::new(7, if i % 2 == 0 { 1 } else { -1 }));
+        }
+        for k in random_keys(300, 0x5EED) {
+            eng.push(EdgeUpdate::new(k, 1));
+        }
+        let run = eng.finish();
+        let ratio = load_balance_ratio(&run.per_shard_updates);
+        assert!(ratio > 1.5, "a hot key must show as skew, got {ratio}");
     }
 
     #[test]
@@ -975,10 +969,10 @@ mod tests {
             "one send-wait sample per dispatched batch"
         );
         let gauge = snap.gauge("load_balance").unwrap();
+        let ratio = load_balance_ratio(&run.per_shard_updates);
         assert!(
-            (gauge - run.load_balance()).abs() < 1e-12,
-            "final live gauge {gauge} must equal the run's ratio {}",
-            run.load_balance()
+            (gauge - ratio).abs() < 1e-12,
+            "final live gauge {gauge} must equal the run's ratio {ratio}"
         );
     }
 

@@ -1,7 +1,7 @@
 //! Seeded graph generators.
 //!
 //! All generators are deterministic functions of their seed, so every
-//! experiment row in `EXPERIMENTS.md` can be regenerated exactly.
+//! experiment row in DESIGN.md's experiment index can be regenerated exactly.
 
 use crate::graph::{Graph, WeightedGraph};
 use crate::ids::{index_to_pair, num_pairs, Edge, Vertex};

@@ -224,9 +224,7 @@ impl EpochSnapshot {
     /// [`GraphConfig::oracle_params`] (deterministic in the segment, `k`
     /// and the seed, so every build of the same epoch agrees), wrapped
     /// with stretch [`GraphConfig::oracle_stretch`]. Its memo-cache
-    /// counters fold into the registry when instrumented; standalone
-    /// snapshots keep the oracle's own private cells (`cache_stats()`
-    /// reads whichever is in).
+    /// counters fold into the registry when instrumented.
     pub fn oracle(&self) -> Arc<DistanceOracle> {
         self.artifact(&self.oracle, ART_ORACLE, || {
             let p = self.config.oracle_params();
@@ -243,10 +241,15 @@ impl EpochSnapshot {
     }
 
     /// The cut artifact, built on first use: the exact Laplacian of the
-    /// sealed segment's live graph, in one O(live edges) build.
+    /// sealed segment's live graph, one pass over the segment's sorted
+    /// entries at unit weight per live pair (what `final_graph` keeps) —
+    /// equal, bit for bit, to `Laplacian::from_graph(&net.final_graph())`.
     pub fn cut_data(&self) -> Arc<CutData> {
         self.artifact(&self.cut, ART_CUT, || CutData {
-            laplacian: Laplacian::from_graph(&self.net.final_graph()),
+            laplacian: Laplacian::from_edges(
+                self.net.num_vertices(),
+                self.net.entries().iter().map(|e| (e.edge, 1.0)),
+            ),
         })
     }
 

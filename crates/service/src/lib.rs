@@ -26,7 +26,7 @@
 //! [`GraphRegistry`] hosts many named graphs (multi-tenancy), and
 //! [`QueryService`] executes a typed [`Query`]/[`Response`] API on a
 //! worker pool. [`LoadGen`] generates deterministic query workloads for
-//! benchmarks and experiments (E19).
+//! tests and benchmarks.
 //!
 //! ```
 //! use dsg_graph::StreamUpdate;
@@ -78,7 +78,6 @@ pub use registry::{GraphRegistry, PersistedGraph, PersistedShard, ServedGraph, T
 pub use workload::{LoadGen, QueryMix};
 
 use dsg_graph::{Edge, Vertex};
-use dsg_sketch::WireError;
 use dsg_spanner::SpannerParams;
 use dsg_sparsifier::SparsifierParams;
 
@@ -223,9 +222,6 @@ pub enum ServiceError {
         /// The pair the deletion would over-delete.
         edge: Edge,
     },
-    /// An incoming snapshot frame failed validation (header peek or full
-    /// decode).
-    BadFrame(WireError),
     /// The query pool has shut down and cannot take new work.
     PoolShutDown,
 }
@@ -247,26 +243,12 @@ impl std::fmt::Display for ServiceError {
                     "deletion of {edge} would drive its net multiplicity below zero"
                 )
             }
-            ServiceError::BadFrame(err) => write!(f, "bad snapshot frame: {err}"),
             ServiceError::PoolShutDown => write!(f, "query pool has shut down"),
         }
     }
 }
 
-impl std::error::Error for ServiceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServiceError::BadFrame(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<WireError> for ServiceError {
-    fn from(err: WireError) -> Self {
-        ServiceError::BadFrame(err)
-    }
-}
+impl std::error::Error for ServiceError {}
 
 /// The compacted-log core (now in `dsg-graph`) reports model violations
 /// with its own error type; the serving layer surfaces them unchanged.
@@ -291,8 +273,6 @@ mod tests {
         assert!(e.to_string().contains("unknown graph"));
         let e = ServiceError::VertexOutOfRange { vertex: 9, n: 5 };
         assert!(e.to_string().contains("out of range"));
-        let e: ServiceError = WireError::BadMagic.into();
-        assert!(e.to_string().contains("bad snapshot frame"));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub(crate) const ART_CUT: usize = 2;
 /// Handles for one epoch snapshot's derived-artifact cache: build
 /// latency, build-once counters, and `OnceLock` cache hits per artifact,
 /// plus the distance oracle's internal memo-cache counters (folded into
-/// the registry; `DistanceOracle::cache_stats()` reads the same cells).
+/// the registry).
 ///
 /// `Default` yields all-no-op handles, which is what directly
 /// constructed snapshots (tests, offline tools) get.
@@ -93,9 +93,6 @@ pub(crate) struct GraphMetrics {
     pub epoch_merge: Histogram,
     /// Epoch-advance phase: sealing the compacted log's net segments.
     pub epoch_seal: Histogram,
-    /// Epoch-advance phase: wire-format serialize + header peek
-    /// (only the `advance_epoch_via_wire` path records this).
-    pub epoch_wire: Histogram,
     /// Vertices each epoch advance had to re-merge (endpoints of the
     /// updates applied since the previous publish) — the size the phase
     /// timings above should be read against.
@@ -160,7 +157,6 @@ impl GraphMetrics {
             epoch_fork: phase("fork"),
             epoch_merge: phase("merge"),
             epoch_seal: phase("seal"),
-            epoch_wire: phase("wire"),
             epoch_dirty: reg.histogram(&g("dsg_service_epoch_dirty_vertices")),
             queries: QUERY_VARIANTS.map(|q| {
                 reg.histogram(&series(

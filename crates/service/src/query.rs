@@ -419,6 +419,43 @@ mod tests {
     }
 
     #[test]
+    fn slow_query_incident_holds_its_whole_causal_chain() {
+        let registry = Arc::new(GraphRegistry::with_observability(
+            Arc::new(dsg_telemetry::MetricRegistry::new()),
+            FlightRecorder::with_capacity(1024),
+        ));
+        let g = registry.create("g", GraphConfig::new(8)).unwrap();
+        g.apply(&[StreamUpdate::insert(0, 1)]).unwrap();
+        // A fresh epoch: the query below pays the forest build in its
+        // own trace, and a 1 ns watchdog trips on it.
+        g.advance_epoch();
+        let pool = QueryService::start(Arc::clone(&registry), 1);
+        pool.set_slow_query_threshold(Duration::from_nanos(1));
+        pool.query_blocking("g", Query::SameComponent(0, 1))
+            .unwrap();
+        pool.shutdown();
+        let incidents = registry.tracer().incidents();
+        let incident = incidents.last().expect("the 1 ns watchdog must trip");
+        assert_ne!(incident.trace_id, 0);
+        assert!(incident.label.starts_with("g:"), "{}", incident.label);
+        let chain: Vec<EventKind> = incident
+            .events
+            .iter()
+            .filter(|e| e.trace_id == incident.trace_id)
+            .map(|e| e.kind)
+            .collect();
+        for kind in [
+            EventKind::QuerySubmit,
+            EventKind::QueryDequeue,
+            EventKind::QueryExecute,
+            EventKind::ArtifactBuild,
+            EventKind::SlowQuery,
+        ] {
+            assert!(chain.contains(&kind), "missing {kind:?} in {chain:?}");
+        }
+    }
+
+    #[test]
     fn submit_after_shutdown_reports_pool_down() {
         let registry = Arc::new(GraphRegistry::new());
         let mut pool = QueryService::start(registry, 1);

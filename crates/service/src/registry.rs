@@ -25,9 +25,8 @@ use crate::metrics::GraphMetrics;
 use crate::query::{Query, Response};
 use crate::{GraphConfig, ServiceError};
 use dsg_agm::AgmSketch;
-use dsg_engine::{reduce_snapshots, EdgeUpdate, EngineConfig, ShardedEngine};
+use dsg_engine::{EdgeUpdate, EngineConfig, ShardedEngine};
 use dsg_graph::{NetMultiset, StreamUpdate, Vertex};
-use dsg_sketch::wire;
 use dsg_telemetry::{trace, EventKind, FlightRecorder, MetricRegistry, MetricsSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -272,78 +271,13 @@ impl ServedGraph {
         self.publish(&mut st, merged)
     }
 
-    /// Like [`advance_epoch`](ServedGraph::advance_epoch), but routes
-    /// every shard fork through its **wire snapshot**: serialize, cheap
-    /// header validation ([`wire::peek_kind`] — kind and version), then
-    /// checksum-verified decode and merge. This is the path a
-    /// multi-server deployment exercises, where shard snapshots arrive as
-    /// untrusted bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::BadFrame`] if a frame fails the header peek, is of
-    /// the wrong kind or a future version, or fails the full decode.
-    pub fn advance_epoch_via_wire(&self) -> Result<Arc<EpochSnapshot>, ServiceError> {
-        let trace_id = self.trace_or_mint();
-        let _scope = trace::scoped(trace_id);
-        let mut st = self.ingest.lock().expect("ingest lock poisoned");
-        let forks = self.fork_shards(&mut st, trace_id);
-        let wire_timer = self.metrics.epoch_wire.start_timer();
-        // Each shard frame travels as a VERSION_TRACED frame carrying the
-        // advance's trace id, so the id survives the serialize → decode
-        // hop the multi-server deployment makes for real.
-        let frames: Vec<Vec<u8>> = forks
-            .iter()
-            .map(|fork| {
-                wire::attach_trace(dsg_sketch::LinearSketch::to_bytes(fork), trace_id)
-                    .map_err(ServiceError::BadFrame)
-            })
-            .collect::<Result<_, _>>()?;
-        let total_bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
-        for frame in &frames {
-            let header = wire::peek_kind(frame)?;
-            if header.kind != wire::KIND_AGM {
-                return Err(ServiceError::BadFrame(wire::WireError::WrongKind {
-                    expected: wire::KIND_AGM,
-                    found: header.kind,
-                }));
-            }
-            if header.version != wire::VERSION && header.version != wire::VERSION_TRACED {
-                return Err(ServiceError::BadFrame(wire::WireError::BadVersion(
-                    header.version,
-                )));
-            }
-            // Read the id back off the frame — the recorded event proves
-            // the causal id crossed the wire, not just this stack frame.
-            let recovered = wire::frame_trace_id(frame)
-                .map_err(ServiceError::BadFrame)?
-                .unwrap_or(0);
-            self.metrics.tracer.record(
-                EventKind::WireDecode,
-                recovered,
-                self.metrics.tenant,
-                recovered,
-            );
-        }
-        drop(wire_timer);
-        self.metrics.tracer.record(
-            EventKind::EpochWire,
-            trace_id,
-            self.metrics.tenant,
-            total_bytes,
-        );
-        let merged = self
-            .metrics
-            .epoch_merge
-            .time(|| reduce_snapshots::<AgmSketch>(&frames))?
-            .expect("engine has at least one shard");
-        self.record_merge(&st, trace_id);
-        Ok(self.publish(&mut st, merged))
-    }
-
-    /// Forks every shard at the current stream position (the caller holds
-    /// the ingest lock, so all forks see the same prefix).
-    fn fork_shards(&self, st: &mut IngestState, trace_id: u64) -> Vec<AgmSketch> {
+    /// The reduction of every advance: fork the shards (the caller
+    /// holds the ingest lock, so all forks see the same prefix),
+    /// then re-merge only the dirty vertices over the published sketch,
+    /// recording how many vertices the merge had to treat as changed —
+    /// what tells a slow advance from a large one. Returns the forks too
+    /// (a checkpoint persists them).
+    fn fork_and_remerge(&self, st: &mut IngestState, trace_id: u64) -> (Vec<AgmSketch>, AgmSketch) {
         let forks = self.metrics.epoch_fork.time(|| st.engine.snapshot_shards());
         self.metrics.tracer.record(
             EventKind::EpochFork,
@@ -351,33 +285,18 @@ impl ServedGraph {
             self.metrics.tenant,
             forks.len() as u64,
         );
-        forks
-    }
-
-    /// The in-memory reduction every advance but the wire path uses:
-    /// fork the shards, then re-merge only the dirty vertices over the
-    /// published sketch. Returns the forks too (a checkpoint persists
-    /// them).
-    fn fork_and_remerge(&self, st: &mut IngestState, trace_id: u64) -> (Vec<AgmSketch>, AgmSketch) {
-        let forks = self.fork_shards(st, trace_id);
         let prev = self.snapshot();
         let merged = self
             .metrics
             .epoch_merge
             .time(|| prev.sketch().remerge(&forks, &st.dirty));
-        self.record_merge(st, trace_id);
-        (forks, merged)
-    }
-
-    /// Records how many vertices the advance's merge had to treat as
-    /// changed — what tells a slow advance from a large one.
-    fn record_merge(&self, st: &IngestState, trace_id: u64) {
         let dirty = st.dirty.iter().filter(|&&d| d).count() as u64;
         self.metrics.epoch_dirty.record(dirty);
         self.last_dirty_vertices.store(dirty, Ordering::Relaxed);
         self.metrics
             .tracer
             .record(EventKind::EpochMerge, trace_id, self.metrics.tenant, dirty);
+        (forks, merged)
     }
 
     /// The trace id an epoch advance runs under: the caller's ambient id
@@ -1035,9 +954,6 @@ mod tests {
             .unwrap();
         assert!(misses >= 1, "first distance query misses the memo cache");
         assert!(hits >= 1, "repeat distance query hits the memo cache");
-        // The old accessor reads the very same cells.
-        let stats = g.snapshot().oracle().cache_stats();
-        assert_eq!((stats.hits, stats.misses), (hits, misses));
     }
 
     #[test]
@@ -1049,29 +965,5 @@ mod tests {
         g.query(&Query::Connectivity).unwrap();
         assert!(g.metrics().is_empty());
         assert_eq!(reg.render_prometheus(), "");
-    }
-
-    #[test]
-    fn wire_and_memory_epoch_paths_agree() {
-        let n = 30;
-        let g0 = gen::erdos_renyi(n, 0.2, 11);
-        let stream = GraphStream::with_churn(&g0, 1.0, 12);
-        let reg = GraphRegistry::new();
-        let a = reg
-            .create("mem", GraphConfig::new(n).seed(5).shards(3))
-            .unwrap();
-        let b = reg
-            .create("wire", GraphConfig::new(n).seed(5).shards(3))
-            .unwrap();
-        a.apply(stream.updates()).unwrap();
-        b.apply(stream.updates()).unwrap();
-        let sa = a.advance_epoch();
-        let sb = b.advance_epoch_via_wire().unwrap();
-        assert_eq!(
-            dsg_sketch::LinearSketch::to_bytes(sa.sketch()),
-            dsg_sketch::LinearSketch::to_bytes(sb.sketch()),
-            "wire epoch diverged from in-memory epoch"
-        );
-        assert_eq!(sa.forest().result.edges, sb.forest().result.edges);
     }
 }

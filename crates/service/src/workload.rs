@@ -1,9 +1,9 @@
-//! Deterministic query-load generation for benchmarks and experiments.
+//! Deterministic query-load generation for tests and benchmarks.
 //!
 //! [`LoadGen`] maps an index `i` to a [`Query`] as a pure function of
 //! `(seed, i)` — two runs of the same workload issue byte-identical query
-//! sequences regardless of thread interleaving, which is what makes the
-//! E19 mixed-workload numbers reproducible. Distance-type queries draw
+//! sequences regardless of thread interleaving, which is what makes
+//! mixed-workload numbers reproducible. Distance-type queries draw
 //! their source from a small **hot set**, modelling the skewed access
 //! patterns the oracle's per-source cache exists for.
 

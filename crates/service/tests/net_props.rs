@@ -366,7 +366,6 @@ enum Feed {
 #[derive(Clone, Copy)]
 enum Publish {
     Memory,
-    Wire,
     Checkpoint,
     /// `checkpoint_state`, then continue on a graph restored from it.
     Restore,
@@ -388,12 +387,12 @@ fn remerged_epoch_chain_is_bit_identical_to_full_merges() {
         (Churn(0.01), Memory),
         (Nothing, Memory),
         (OneInsert, Checkpoint),
-        (Churn(0.4), Wire),
+        (Churn(0.4), Memory),
         (InsertThenDelete, Memory),
         (Churn(0.01), Restore),
         (Nothing, Memory),
         (Churn(0.4), Memory),
-        (OneInsert, Wire),
+        (OneInsert, Memory),
         (Churn(0.01), Checkpoint),
         (InsertThenDelete, Memory),
     ];
@@ -441,7 +440,6 @@ fn remerged_epoch_chain_is_bit_identical_to_full_merges() {
             let prev = served.snapshot();
             let snap = match publish {
                 Memory => served.advance_epoch(),
-                Wire => served.advance_epoch_via_wire().unwrap(),
                 Checkpoint | Restore => {
                     let state = served.checkpoint_state();
                     let forks = state.shards.iter().map(|s| s.sketch.clone()).collect();

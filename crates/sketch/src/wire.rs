@@ -8,22 +8,16 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "DSGW"
-//! 4       2     format version (little-endian u16, 1 or 2)
+//! 4       2     format version (little-endian u16, always 1)
 //! 6       2     sketch kind tag (see the registry below)
 //! 8       8     payload length in bytes (little-endian u64)
 //! 16      8     FNV-1a checksum of the payload (little-endian u64)
 //! 24      …     payload
-//! 24+len  12    trace trailer "DSGT" + u64 trace id (version 2 only)
 //! ```
 //!
-//! Version 2 ([`VERSION_TRACED`]) frames append an optional **trace
-//! trailer** carrying the causal trace id of the request that produced
-//! the frame, so causality survives `advance_epoch_via_wire` and future
-//! shard→coordinator hops. The checksum covers only the payload — a
-//! traced frame decodes to exactly the same sketch as its untraced twin,
-//! and version-1 readers of [`peek_kind`] still see the header. Readers
-//! of both versions go through the same [`open_frame`], which validates
-//! the trailer's magic and length when present.
+//! Version 2 ([`RETIRED_VERSION`]) appended a trace-id trailer after the
+//! payload; no writer remains, and [`peek_kind`] and [`open_frame`] reject
+//! it with [`WireError::BadVersion`]. The number is never reused.
 //!
 //! The payload never contains hash functions: every sketch's randomness is
 //! a deterministic function of its constructor parameters (seeds flow
@@ -64,23 +58,13 @@ pub const MAGIC: [u8; 4] = *b"DSGW";
 /// rejects versions it does not understand instead of misreading them.
 pub const VERSION: u16 = 1;
 
-/// Wire-format version of frames carrying a **trace trailer**: the frame
-/// is byte-identical to a [`VERSION`] frame except that exactly
-/// [`TRAILER_BYTES`] follow the payload — [`TRAILER_MAGIC`] plus the
-/// little-endian `u64` trace id of the request that produced the frame.
-/// The header checksum still covers only the payload, so
-/// [`attach_trace`] can upgrade an already-finished frame in place and a
-/// traced frame decodes to exactly the same sketch as its untraced twin.
-pub const VERSION_TRACED: u16 = 2;
+/// The **retired** wire-format version 2: a [`VERSION`] frame followed by
+/// a trace-id trailer. Nothing writes it any more; every reader rejects
+/// it with [`WireError::BadVersion`], and the number is never reused.
+pub const RETIRED_VERSION: u16 = 2;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_BYTES: usize = 24;
-
-/// Magic opening a [`VERSION_TRACED`] trace trailer ("DSG Trace").
-pub const TRAILER_MAGIC: [u8; 4] = *b"DSGT";
-
-/// Size of the [`VERSION_TRACED`] trailer: magic plus a `u64` trace id.
-pub const TRAILER_BYTES: usize = 12;
 
 /// Kind tag of [`crate::SparseRecovery`].
 pub const KIND_SPARSE_RECOVERY: u16 = 1;
@@ -191,85 +175,6 @@ pub fn finish_frame(kind: u16, payload: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Wraps a finished payload in a checksummed [`VERSION_TRACED`] header
-/// and appends the trace trailer. Equivalent to
-/// `attach_trace(finish_frame(kind, payload), trace_id)` without the
-/// second pass.
-pub fn finish_frame_traced(kind: u16, payload: Vec<u8>, trace_id: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + TRAILER_BYTES);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION_TRACED.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&TRAILER_MAGIC);
-    out.extend_from_slice(&trace_id.to_le_bytes());
-    out
-}
-
-/// Upgrades a finished [`VERSION`] frame to [`VERSION_TRACED`] by
-/// rewriting the version field and appending the trace trailer. The
-/// checksum covers only the payload, so no re-hash is needed. A frame
-/// that is already traced has its trailer's id overwritten instead.
-///
-/// # Errors
-///
-/// [`WireError::Truncated`] / [`WireError::BadMagic`] if `frame` is not
-/// a frame, [`WireError::BadVersion`] for versions this build does not
-/// understand.
-pub fn attach_trace(mut frame: Vec<u8>, trace_id: u64) -> Result<Vec<u8>, WireError> {
-    let header = peek_kind(&frame)?;
-    match header.version {
-        VERSION => {
-            frame[4..6].copy_from_slice(&VERSION_TRACED.to_le_bytes());
-            frame.extend_from_slice(&TRAILER_MAGIC);
-            frame.extend_from_slice(&trace_id.to_le_bytes());
-            Ok(frame)
-        }
-        VERSION_TRACED => {
-            let len = frame.len();
-            if len < TRAILER_BYTES {
-                return Err(WireError::Truncated);
-            }
-            frame[len - 8..].copy_from_slice(&trace_id.to_le_bytes());
-            Ok(frame)
-        }
-        v => Err(WireError::BadVersion(v)),
-    }
-}
-
-/// Reads the trace id a frame carries: `Some(id)` for a valid
-/// [`VERSION_TRACED`] frame, `None` for a plain [`VERSION`] frame.
-///
-/// # Errors
-///
-/// [`WireError::Truncated`] if a traced frame's trailer (or the frame
-/// itself) is cut short, [`WireError::BadMagic`] for a non-frame or a
-/// corrupt trailer magic, [`WireError::BadVersion`] for unknown
-/// versions.
-pub fn frame_trace_id(bytes: &[u8]) -> Result<Option<u64>, WireError> {
-    let header = peek_kind(bytes)?;
-    match header.version {
-        VERSION => Ok(None),
-        VERSION_TRACED => {
-            let start = HEADER_BYTES
-                .checked_add(header.payload_len)
-                .ok_or(WireError::Truncated)?;
-            let trailer = bytes.get(start..).ok_or(WireError::Truncated)?;
-            if trailer.len() < TRAILER_BYTES {
-                return Err(WireError::Truncated);
-            }
-            if trailer[0..4] != TRAILER_MAGIC {
-                return Err(WireError::BadMagic);
-            }
-            let id = u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes"));
-            Ok(Some(id))
-        }
-        v => Err(WireError::BadVersion(v)),
-    }
-}
-
 /// What a frame header declares about its payload, readable without
 /// decoding (or even checksumming) the payload itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,9 +200,10 @@ pub struct FrameHeader {
 /// # Errors
 ///
 /// [`WireError::Truncated`] if the buffer is shorter than a header,
-/// [`WireError::BadMagic`] if it is not a snapshot frame. A version this
-/// build does not understand is *returned*, not rejected — the caller
-/// decides whether unknown versions are an error.
+/// [`WireError::BadMagic`] if it is not a snapshot frame,
+/// [`WireError::BadVersion`] for the [`RETIRED_VERSION`]. A future version
+/// this build does not understand is *returned*, not rejected — the
+/// caller decides whether unknown versions are an error.
 pub fn peek_kind(bytes: &[u8]) -> Result<FrameHeader, WireError> {
     if bytes.len() < HEADER_BYTES {
         return Err(WireError::Truncated);
@@ -306,6 +212,9 @@ pub fn peek_kind(bytes: &[u8]) -> Result<FrameHeader, WireError> {
         return Err(WireError::BadMagic);
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    if version == RETIRED_VERSION {
+        return Err(WireError::BadVersion(version));
+    }
     let kind = u16::from_le_bytes([bytes[6], bytes[7]]);
     let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
     Ok(FrameHeader {
@@ -329,7 +238,7 @@ pub fn open_frame(kind: u16, bytes: &[u8]) -> Result<ByteReader<'_>, WireError> 
         return Err(WireError::BadMagic);
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != VERSION && version != VERSION_TRACED {
+    if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
     let found = u16::from_le_bytes([bytes[6], bytes[7]]);
@@ -341,28 +250,10 @@ pub fn open_frame(kind: u16, bytes: &[u8]) -> Result<ByteReader<'_>, WireError> 
     }
     let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
     let sum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let rest = &bytes[HEADER_BYTES..];
-    let payload = match version {
-        // A v1 frame is exactly header + payload.
-        VERSION => {
-            if rest.len() != len {
-                return Err(WireError::Truncated);
-            }
-            rest
-        }
-        // A traced frame carries exactly one trailer after the payload;
-        // validate it here so a truncated or corrupt trailer cannot pass
-        // as a clean frame (the checksum never covers the trailer).
-        _ => {
-            if rest.len() != len + TRAILER_BYTES {
-                return Err(WireError::Truncated);
-            }
-            if rest[len..len + 4] != TRAILER_MAGIC {
-                return Err(WireError::BadMagic);
-            }
-            &rest[..len]
-        }
-    };
+    let payload = &bytes[HEADER_BYTES..];
+    if payload.len() != len {
+        return Err(WireError::Truncated);
+    }
     if checksum(payload) != sum {
         return Err(WireError::BadChecksum);
     }
@@ -595,81 +486,6 @@ mod tests {
         let mut frame = finish_frame(KIND_L0_SAMPLER, vec![]);
         frame[2] = b'!';
         assert!(matches!(peek_kind(&frame), Err(WireError::BadMagic)));
-    }
-
-    #[test]
-    fn traced_frame_roundtrips_and_decodes_identically() {
-        let payload = vec![1u8, 2, 3, 4, 5];
-        let traced = finish_frame_traced(KIND_HASHTABLE, payload.clone(), 0xDEAD_BEEF);
-        assert_eq!(peek_kind(&traced).unwrap().version, VERSION_TRACED);
-        assert_eq!(frame_trace_id(&traced).unwrap(), Some(0xDEAD_BEEF));
-        let mut r = open_frame(KIND_HASHTABLE, &traced).unwrap();
-        assert_eq!(r.take(5).unwrap(), &payload[..]);
-        r.expect_end().unwrap();
-    }
-
-    #[test]
-    fn attach_trace_upgrades_v1_frames() {
-        let plain = finish_frame(KIND_DISTINCT, vec![7u8; 16]);
-        assert_eq!(frame_trace_id(&plain).unwrap(), None);
-        let traced = attach_trace(plain.clone(), 42).unwrap();
-        assert_eq!(traced.len(), plain.len() + TRAILER_BYTES);
-        assert_eq!(frame_trace_id(&traced).unwrap(), Some(42));
-        // Same bytes as building traced from scratch.
-        assert_eq!(
-            traced,
-            finish_frame_traced(KIND_DISTINCT, vec![7u8; 16], 42)
-        );
-        // Re-attaching overwrites the id without growing the frame.
-        let retraced = attach_trace(traced, 99).unwrap();
-        assert_eq!(retraced.len(), plain.len() + TRAILER_BYTES);
-        assert_eq!(frame_trace_id(&retraced).unwrap(), Some(99));
-        // The payload decodes identically either way.
-        let mut r = open_frame(KIND_DISTINCT, &retraced).unwrap();
-        assert_eq!(r.take(16).unwrap(), &[7u8; 16][..]);
-        r.expect_end().unwrap();
-    }
-
-    #[test]
-    fn truncated_or_corrupt_trailer_rejected() {
-        let traced = finish_frame_traced(KIND_L0_SAMPLER, vec![1, 2, 3], 5);
-        // Trailer cut short.
-        let cut = &traced[..traced.len() - 4];
-        assert!(matches!(
-            open_frame(KIND_L0_SAMPLER, cut),
-            Err(WireError::Truncated)
-        ));
-        assert!(matches!(frame_trace_id(cut), Err(WireError::Truncated)));
-        // Trailer magic corrupted.
-        let mut bad = traced.clone();
-        let at = bad.len() - TRAILER_BYTES;
-        bad[at] = b'X';
-        assert!(matches!(
-            open_frame(KIND_L0_SAMPLER, &bad),
-            Err(WireError::BadMagic)
-        ));
-        assert!(matches!(frame_trace_id(&bad), Err(WireError::BadMagic)));
-        // Payload corruption is still caught under the traced version.
-        let mut corrupt = traced;
-        corrupt[HEADER_BYTES] ^= 0xFF;
-        assert!(matches!(
-            open_frame(KIND_L0_SAMPLER, &corrupt),
-            Err(WireError::BadChecksum)
-        ));
-    }
-
-    #[test]
-    fn frame_trace_id_rejects_unknown_versions() {
-        let mut frame = finish_frame(KIND_HASHTABLE, vec![]);
-        frame[4] = 0x09;
-        assert!(matches!(
-            frame_trace_id(&frame),
-            Err(WireError::BadVersion(9))
-        ));
-        assert!(matches!(
-            attach_trace(frame, 1),
-            Err(WireError::BadVersion(9))
-        ));
     }
 
     #[test]

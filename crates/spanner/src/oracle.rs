@@ -27,17 +27,6 @@ use std::sync::{Arc, Mutex};
 /// Default number of distinct sources whose distance rows stay cached.
 pub const DEFAULT_CACHE_SOURCES: usize = 32;
 
-/// Cache-effectiveness counters of a [`DistanceOracle`] — a point-in-time
-/// read of the oracle's telemetry counters (see
-/// [`DistanceOracle::with_cache_counters`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Queries answered from a memoized distance row.
-    pub hits: u64,
-    /// Queries that ran a BFS.
-    pub misses: u64,
-}
-
 /// Bounded FIFO memo of per-source distance rows.
 #[derive(Debug, Default)]
 struct SourceCache {
@@ -96,18 +85,16 @@ pub struct DistanceOracle {
     adjacency: Adjacency,
     stretch: u64,
     cache: Mutex<SourceCache>,
-    /// Cache hit/miss telemetry. Standalone live counters by default, so
-    /// [`cache_stats`](DistanceOracle::cache_stats) always works; a
-    /// serving layer swaps in registry-owned counters with
-    /// [`with_cache_counters`](DistanceOracle::with_cache_counters) so
-    /// there is exactly one store for the numbers.
+    /// Cache hit/miss telemetry: no-op by default; a serving layer swaps
+    /// in registry-owned counters with
+    /// [`with_cache_counters`](DistanceOracle::with_cache_counters).
     hits: Counter,
     misses: Counter,
 }
 
 impl Clone for DistanceOracle {
     /// Clones the oracle with a fresh, empty cache of the same capacity
-    /// and fresh (zeroed, standalone) hit/miss counters.
+    /// and no-op hit/miss counters.
     fn clone(&self) -> Self {
         let capacity = self.cache.lock().expect("oracle cache poisoned").capacity;
         Self {
@@ -115,8 +102,8 @@ impl Clone for DistanceOracle {
             adjacency: self.adjacency.clone(),
             stretch: self.stretch,
             cache: Mutex::new(SourceCache::new(capacity)),
-            hits: Counter::active(),
-            misses: Counter::active(),
+            hits: Counter::noop(),
+            misses: Counter::noop(),
         }
     }
 }
@@ -135,8 +122,8 @@ impl DistanceOracle {
             adjacency,
             stretch,
             cache: Mutex::new(SourceCache::new(DEFAULT_CACHE_SOURCES)),
-            hits: Counter::active(),
-            misses: Counter::active(),
+            hits: Counter::noop(),
+            misses: Counter::noop(),
         }
     }
 
@@ -152,8 +139,7 @@ impl DistanceOracle {
     /// Replaces the hit/miss counters with caller-owned handles —
     /// typically registry-created series, so the oracle's cache
     /// effectiveness lands in the same `dsg_telemetry::MetricRegistry`
-    /// as everything else and [`cache_stats`](DistanceOracle::cache_stats)
-    /// reads the very same cells (one store, two views).
+    /// as everything else.
     pub fn with_cache_counters(self, hits: Counter, misses: Counter) -> Self {
         Self {
             hits,
@@ -170,16 +156,6 @@ impl DistanceOracle {
     /// The underlying spanner.
     pub fn spanner(&self) -> &Graph {
         &self.spanner
-    }
-
-    /// Hit/miss counters of the per-source cache — a thin wrapper reading
-    /// the telemetry counters (registry-owned ones after
-    /// [`with_cache_counters`](DistanceOracle::with_cache_counters)).
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-        }
     }
 
     /// Probes the cache for `u`'s distance row, bumping the hit/miss
@@ -284,6 +260,22 @@ mod tests {
         (g, DistanceOracle::new(out.spanner, 1 << k))
     }
 
+    /// Hands `oracle` registry-owned hit/miss counters; read them back
+    /// with [`hits_misses`].
+    fn counted(oracle: DistanceOracle) -> (DistanceOracle, dsg_telemetry::MetricRegistry) {
+        let reg = dsg_telemetry::MetricRegistry::new();
+        let oracle =
+            oracle.with_cache_counters(reg.counter("hits_total"), reg.counter("misses_total"));
+        (oracle, reg)
+    }
+
+    /// `(hits, misses)` recorded so far in a [`counted`] registry.
+    fn hits_misses(reg: &dsg_telemetry::MetricRegistry) -> (u64, u64) {
+        let snap = reg.snapshot();
+        let read = |name| snap.counter(name).unwrap_or(0);
+        (read("hits_total"), read("misses_total"))
+    }
+
     #[test]
     fn oracle_contract_sandwich() {
         let (g, oracle) = oracle_for(60, 2, 1);
@@ -336,71 +328,60 @@ mod tests {
 
     #[test]
     fn repeated_source_queries_hit_the_cache() {
-        let (_, oracle) = oracle_for(50, 2, 4);
-        assert_eq!(oracle.cache_stats(), CacheStats::default());
+        let (oracle, reg) = counted(oracle_for(50, 2, 4).1);
+        assert_eq!(hits_misses(&reg), (0, 0));
         let first = oracle.estimate(7, 20);
-        assert_eq!(oracle.cache_stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(hits_misses(&reg), (0, 1));
         // Same source, different targets: all answered from the memo row.
         assert_eq!(oracle.estimate(7, 20), first);
         for v in [21u32, 35, 49] {
             let _ = oracle.estimate(7, v);
         }
-        let stats = oracle.cache_stats();
-        assert_eq!(stats.misses, 1, "one BFS serves every query from source 7");
-        assert!(stats.hits >= 4);
+        let (hits, misses) = hits_misses(&reg);
+        assert_eq!(misses, 1, "one BFS serves every query from source 7");
+        assert!(hits >= 4);
         // `is_far` from the hot source is also answered from the row.
-        let hits_before = oracle.cache_stats().hits;
         let _ = oracle.is_far(7, 31, 2);
-        assert_eq!(oracle.cache_stats().hits, hits_before + 1);
+        assert_eq!(hits_misses(&reg).0, hits + 1);
     }
 
     #[test]
     fn cached_answers_match_uncached() {
-        let (_, oracle) = oracle_for(40, 2, 5);
-        let uncached = oracle.clone().with_cache_capacity(0);
+        let (oracle, reg) = counted(oracle_for(40, 2, 5).1);
+        let (uncached, uncached_reg) = counted(oracle.clone().with_cache_capacity(0));
         for u in 0..40u32 {
             for v in 0..40u32 {
                 assert_eq!(oracle.estimate(u, v), uncached.estimate(u, v), "({u},{v})");
             }
         }
         assert_eq!(
-            uncached.cache_stats().hits,
+            hits_misses(&uncached_reg).0,
             0,
             "capacity 0 disables memoization"
         );
-        assert!(oracle.cache_stats().hits > 0);
+        assert!(hits_misses(&reg).0 > 0);
     }
 
     #[test]
     fn cache_is_bounded_fifo() {
-        let (_, oracle) = oracle_for(30, 1, 6);
-        let oracle = oracle.with_cache_capacity(2);
+        let (oracle, reg) = counted(oracle_for(30, 1, 6).1.with_cache_capacity(2));
         let _ = oracle.estimate(0, 1); // miss: row(0) cached
         let _ = oracle.estimate(1, 2); // miss: row(1) cached
         let _ = oracle.estimate(2, 3); // miss: row(2) cached, row(0) evicted
         let _ = oracle.estimate(0, 4); // miss again — 0 was evicted
         let _ = oracle.estimate(2, 5); // hit — 2 still resident
-        let stats = oracle.cache_stats();
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.hits, 1);
+        assert_eq!(hits_misses(&reg), (1, 4));
     }
 
     #[test]
-    fn registry_counters_and_cache_stats_read_the_same_cells() {
-        let (_, oracle) = oracle_for(30, 1, 8);
-        let reg = dsg_telemetry::MetricRegistry::new();
-        let oracle = oracle.with_cache_counters(
-            reg.counter("oracle_hits_total"),
-            reg.counter("oracle_misses_total"),
-        );
+    fn registry_counters_count_hits_and_misses() {
+        let (oracle, reg) = counted(oracle_for(30, 1, 8).1);
         let _ = oracle.estimate(0, 5); // miss
         let _ = oracle.estimate(0, 6); // hit
         let _ = oracle.estimate(1, 6); // miss
-        let stats = oracle.cache_stats();
-        assert_eq!(stats, CacheStats { hits: 1, misses: 2 });
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("oracle_hits_total"), Some(stats.hits));
-        assert_eq!(snap.counter("oracle_misses_total"), Some(stats.misses));
+        assert_eq!(snap.counter("hits_total"), Some(1));
+        assert_eq!(snap.counter("misses_total"), Some(2));
     }
 
     #[test]
@@ -418,8 +399,8 @@ mod tests {
     fn clone_starts_with_a_cold_cache() {
         let (_, oracle) = oracle_for(20, 1, 7);
         let _ = oracle.estimate(1, 2);
-        let fresh = oracle.clone();
-        assert_eq!(fresh.cache_stats(), CacheStats::default());
+        let (fresh, reg) = counted(oracle.clone());
         assert_eq!(fresh.estimate(1, 2), oracle.estimate(1, 2));
+        assert_eq!(hits_misses(&reg), (0, 1), "the clone's first query misses");
     }
 }

@@ -30,25 +30,36 @@ pub struct Laplacian {
 }
 
 impl Laplacian {
-    /// Builds the Laplacian of a weighted graph.
-    pub fn from_weighted(g: &WeightedGraph) -> Self {
-        let n = g.num_vertices();
+    /// Builds the Laplacian of `n` vertices from `(edge, weight)` pairs in
+    /// one pass, keeping their order — the shared constructor behind
+    /// [`from_weighted`](Laplacian::from_weighted) and
+    /// [`from_graph`](Laplacian::from_graph). The pairs are taken as
+    /// given: distinct edges with positive weights, as a [`Graph`], a
+    /// [`WeightedGraph`] or a canonical net multiset holds them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is `>= n`.
+    pub fn from_edges<I: IntoIterator<Item = (Edge, f64)>>(n: usize, pairs: I) -> Self {
+        let pairs = pairs.into_iter();
         let mut degree = vec![0.0; n];
-        let mut edges = Vec::with_capacity(g.num_edges());
-        for (e, w) in g.edges() {
+        let mut edges = Vec::with_capacity(pairs.size_hint().0);
+        for (e, w) in pairs {
             degree[e.u() as usize] += w;
             degree[e.v() as usize] += w;
-            edges.push((e.u(), e.v(), *w));
+            edges.push((e.u(), e.v(), w));
         }
         Self { n, edges, degree }
     }
 
+    /// Builds the Laplacian of a weighted graph.
+    pub fn from_weighted(g: &WeightedGraph) -> Self {
+        Self::from_edges(g.num_vertices(), g.edges().iter().copied())
+    }
+
     /// Builds the Laplacian of an unweighted graph (unit weights).
     pub fn from_graph(g: &Graph) -> Self {
-        Self::from_weighted(&WeightedGraph::from_edges(
-            g.num_vertices(),
-            g.edges().iter().map(|&e| (e, 1.0)),
-        ))
+        Self::from_edges(g.num_vertices(), g.edges().iter().map(|&e| (e, 1.0)))
     }
 
     /// Number of vertices.

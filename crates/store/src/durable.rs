@@ -320,7 +320,7 @@ impl DurableGraph {
     /// boundary, write the checkpoint file atomically, then delete every
     /// segment the checkpoint covers. After this, recovery costs
     /// *checkpoint restore + post-checkpoint tail replay* instead of a
-    /// full-log replay (experiment E20 measures the gap).
+    /// full-log replay.
     ///
     /// # Errors
     ///

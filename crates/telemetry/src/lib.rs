@@ -10,7 +10,7 @@
 //!    already-allocated cell — no locks, no allocation, no syscalls on
 //!    the hot path. A handle can also be a *no-op* ([`Counter::noop`]):
 //!    recording through it is a single predictable branch, which is the
-//!    honest baseline experiment E23 measures overhead against.
+//!    honest baseline to measure overhead against.
 //! 2. **Mergeable and diffable.** [`Histogram`]s use log2 buckets so two
 //!    histograms merge by bucket-wise addition (exactly like the linear
 //!    sketches this workspace is built on), and [`MetricsSnapshot`]s diff
@@ -118,7 +118,7 @@ impl Counter {
     }
 
     /// A recorder that drops every event — one predictable branch per
-    /// record. This is the E23 baseline.
+    /// record — the baseline instrumentation overhead is measured against.
     pub fn noop() -> Self {
         Self { cell: None }
     }
@@ -486,7 +486,7 @@ impl Metric {
 /// get-or-create by series name (use [`series`] to fold a label set into
 /// the name once, at registration time); a registry built with
 /// [`MetricRegistry::noop`] hands out no-op handles and renders empty —
-/// the switch experiment E23 flips to measure instrumentation overhead.
+/// the switch that turns instrumentation off.
 ///
 /// Registration takes a write lock; recording through the returned
 /// handles takes no lock at all. Register once, record forever.

@@ -56,11 +56,8 @@ pub enum EventKind {
     EpochMerge = 8,
     /// Epoch advance: compacted log sealed; payload = sealed net edges.
     EpochSeal = 9,
-    /// Epoch advance took the wire path; payload = total frame bytes.
-    EpochWire = 10,
-    /// A wire frame was decoded; payload = the trace id recovered from
-    /// the frame trailer (0 for untraced v1 frames).
-    WireDecode = 11,
+    // 10 and 11 (a wire-path epoch advance and its per-frame decode) are
+    // retired and never reused: a dump holding them decodes to nothing.
     /// A new epoch snapshot was published; payload = epoch number.
     EpochPublish = 12,
     /// A WAL batch was appended; payload = record count.
@@ -81,6 +78,7 @@ pub enum EventKind {
     /// The accuracy auditor caught a served answer outside its guarantee;
     /// payload = query variant index.
     QualityViolation = 20,
+    // 21 (an artifact patch) is retired likewise.
 }
 
 impl EventKind {
@@ -96,8 +94,6 @@ impl EventKind {
             EventKind::EpochFork => "epoch_fork",
             EventKind::EpochMerge => "epoch_merge",
             EventKind::EpochSeal => "epoch_seal",
-            EventKind::EpochWire => "epoch_wire",
-            EventKind::WireDecode => "wire_decode",
             EventKind::EpochPublish => "epoch_publish",
             EventKind::WalAppend => "wal_append",
             EventKind::CheckpointWrite => "checkpoint_write",
@@ -121,8 +117,6 @@ impl EventKind {
             7 => EventKind::EpochFork,
             8 => EventKind::EpochMerge,
             9 => EventKind::EpochSeal,
-            10 => EventKind::EpochWire,
-            11 => EventKind::WireDecode,
             12 => EventKind::EpochPublish,
             13 => EventKind::WalAppend,
             14 => EventKind::CheckpointWrite,
@@ -613,6 +607,29 @@ mod tests {
         assert_eq!(dump[1].kind, EventKind::QueryExecute);
         assert!(dump[0].nanos <= dump[1].nanos);
         assert!(dump.iter().all(|ev| ev.trace_id == t));
+    }
+
+    #[test]
+    fn retired_kind_numbers_stay_unassigned() {
+        for retired in [10u16, 11, 21] {
+            assert_eq!(EventKind::from_u16(retired), None, "kind {retired}");
+        }
+        let kept = [
+            (EventKind::EpochSeal, 9),
+            (EventKind::EpochPublish, 12),
+            (EventKind::WalAppend, 13),
+            (EventKind::CheckpointWrite, 14),
+            (EventKind::CheckpointLoad, 15),
+            (EventKind::RecoveryRestore, 16),
+            (EventKind::RecoveryReplay, 17),
+            (EventKind::RecoveryWalOpen, 18),
+            (EventKind::SlowQuery, 19),
+            (EventKind::QualityViolation, 20),
+        ];
+        for (kind, number) in kept {
+            assert_eq!(kind as u16, number, "{kind:?}");
+            assert_eq!(EventKind::from_u16(number), Some(kind));
+        }
     }
 
     #[test]

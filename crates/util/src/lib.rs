@@ -12,7 +12,7 @@
 //! * [`stats`] — small summary-statistics helpers (mean/median/quantiles)
 //!   used when aggregating repeated randomized trials.
 //! * [`table`] — a fixed-width table renderer used by the experiment harness
-//!   to print the rows recorded in `EXPERIMENTS.md`.
+//!   to print the rows recorded in DESIGN.md's experiment index.
 //!
 //! # Examples
 //!

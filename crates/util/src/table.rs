@@ -2,7 +2,7 @@
 //!
 //! The experiment binaries regenerate the quantitative claims of the paper
 //! as tables; this module renders them with aligned columns so the output in
-//! `EXPERIMENTS.md` is directly comparable across runs.
+//! DESIGN.md's experiment index is directly comparable across runs.
 
 use std::fmt;
 

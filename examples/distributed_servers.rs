@@ -12,7 +12,9 @@
 
 use dsg_agm::AgmSketch;
 use dsg_core::prelude::*;
-use dsg_engine::{reduce_snapshots, EdgeUpdate, EngineConfig, EngineMetrics, ShardedEngine};
+use dsg_engine::{
+    load_balance_ratio, reduce_snapshots, EdgeUpdate, EngineConfig, EngineMetrics, ShardedEngine,
+};
 use dsg_graph::components::is_spanning_forest;
 use dsg_telemetry::{series, MetricRegistry};
 
@@ -60,7 +62,7 @@ fn main() {
     println!(
         "shard ingest counts: {:?} (hash-partitioned by edge id, max/mean = {:.3})",
         run.per_shard_updates,
-        run.load_balance()
+        load_balance_ratio(&run.per_shard_updates)
     );
 
     // Communication: each server ships its wire-format snapshot. The

@@ -121,17 +121,23 @@ fn main() {
             reachable += 1;
         }
     }
-    let oracle = registry
-        .get("roads")
-        .expect("registered")
-        .snapshot()
-        .oracle();
+    let roads = registry.get("roads").expect("registered");
+    let oracle = roads.snapshot().oracle();
+    let served = roads.metrics();
+    let cache = |outcome: &str| {
+        served
+            .counter(&format!(
+                "dsg_service_oracle_cache_{outcome}_total{{graph=\"roads\"}}"
+            ))
+            .unwrap_or(0)
+    };
     println!(
-        "'roads' oracle (stretch {}): {} of 40 vertices reachable from {}; cache {:?}",
+        "'roads' oracle (stretch {}): {} of 40 vertices reachable from {}; cache {} hits / {} misses",
         oracle.stretch(),
         reachable,
         hot,
-        oracle.cache_stats(),
+        cache("hits"),
+        cache("misses"),
     );
 
     // One explicit cut on the small tenant (builds the exact cut

@@ -8,7 +8,7 @@
 use dsg_agm::AgmSketch;
 use dsg_core::engine::EngineBuilder;
 use dsg_core::prelude::*;
-use dsg_engine::{reduce_snapshots, EdgeUpdate, EngineConfig, ShardedEngine};
+use dsg_engine::{load_balance_ratio, reduce_snapshots, EdgeUpdate, EngineConfig, ShardedEngine};
 use dsg_graph::components::is_spanning_forest;
 
 fn test_stream(n: usize, p: f64, seed: u64) -> (Graph, GraphStream) {
@@ -98,7 +98,7 @@ fn engine_reports_balanced_shard_loads() {
     // the hash's spread rather than splitting exactly evenly; the
     // diagnostic ratio (max/mean) must still stay near 1 for a stream of
     // this many distinct edges, and no shard may starve.
-    let balance = run.load_balance();
+    let balance = load_balance_ratio(&run.per_shard_updates);
     assert!(
         (1.0..1.5).contains(&balance),
         "hash partition too skewed (max/mean = {balance:.3}): {:?}",

@@ -175,40 +175,6 @@ fn cut_estimates_match_offline_recompute() {
     );
 }
 
-/// The wire epoch path (serialize → peek → decode → merge) answers
-/// identically to the in-memory path under the same prefix.
-#[test]
-fn wire_epochs_are_isolation_equivalent() {
-    let n = 40;
-    let g = gen::erdos_renyi(n, 0.12, 21);
-    let stream = GraphStream::with_churn(&g, 1.0, 22);
-    let registry = GraphRegistry::new();
-    let mem = registry
-        .create("mem", GraphConfig::new(n).seed(4).shards(3))
-        .unwrap();
-    let wire = registry
-        .create("wire", GraphConfig::new(n).seed(4).shards(3))
-        .unwrap();
-
-    let updates = stream.updates();
-    let half = updates.len() / 2;
-    mem.apply(&updates[..half]).unwrap();
-    wire.apply(&updates[..half]).unwrap();
-    let se = mem.advance_epoch();
-    let sw = wire.advance_epoch_via_wire().unwrap();
-    mem.apply(&updates[half..]).unwrap();
-    wire.apply(&updates[half..]).unwrap();
-
-    assert_eq!(se.forest().result.edges, sw.forest().result.edges);
-    assert_eq!(se.forest().labels, sw.forest().labels);
-    for v in 0..n as Vertex {
-        assert_eq!(
-            se.execute(&Query::Distance(3, v)).unwrap(),
-            sw.execute(&Query::Distance(3, v)).unwrap(),
-        );
-    }
-}
-
 /// Pool answers equal direct snapshot execution for a whole generated
 /// workload (multi-tenant: two graphs, interleaved queries).
 #[test]

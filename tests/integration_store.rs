@@ -143,6 +143,39 @@ fn checkpoint_plus_compaction_bounds_disk() {
     );
 }
 
+/// A checkpoint holds the compacted live graph, not the stream: the same
+/// live graph fed clean and under ~10x insert/delete churn checkpoints to
+/// (nearly) the same number of bytes.
+#[test]
+fn checkpoint_bytes_stay_flat_under_churn() {
+    let n = 60;
+    let base = gen::erdos_renyi(n, 0.12, 23);
+    let checkpoint_bytes = |churn: f64| -> (usize, u64) {
+        let stream = GraphStream::with_churn(&base, churn, 24);
+        let dir = ScratchDir::new("store-flat");
+        let reg = DurableRegistry::open(dir.path(), StoreOptions::default()).unwrap();
+        let g = reg
+            .create("flat", GraphConfig::new(n).seed(7).shards(2).batch_size(64))
+            .unwrap();
+        for batch in stream.updates().chunks(64) {
+            g.apply(batch).unwrap();
+        }
+        g.checkpoint().unwrap();
+        let path = g.dir().join(dsg_store::CHECKPOINT_FILE);
+        (stream.len(), std::fs::metadata(path).unwrap().len())
+    };
+    let (len0, bytes0) = checkpoint_bytes(0.0);
+    let (len1, bytes1) = checkpoint_bytes(4.5);
+    assert!(
+        len1 >= 10 * len0,
+        "churn must grow the stream 10x ({len0} -> {len1})"
+    );
+    assert!(
+        bytes1 <= bytes0 + bytes0 / 50 + 1024,
+        "checkpoint must stay flat under churn ({bytes0} -> {bytes1} bytes)"
+    );
+}
+
 #[test]
 fn multi_tenant_recovery_is_isolated() {
     let dir = ScratchDir::new("store-tenants");
