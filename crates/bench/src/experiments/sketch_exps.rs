@@ -82,11 +82,58 @@ pub fn distinct(scale: Scale) {
     println!("{t}");
 }
 
-/// E12 (Theorem 10): AGM spanning forests under deletion churn.
-pub fn agm_forest(scale: Scale) {
+/// One row of E12: AGM forests over the trials at one `(n, churn)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ForestRow {
+    /// Vertices.
+    pub n: usize,
+    /// Decoy insert/delete pairs per live edge.
+    pub churn: f64,
+    /// Share of trials whose decoded forest is a spanning forest.
+    pub correct: f64,
+    /// Sampler decode failures summed over the trials.
+    pub decode_failures: usize,
+    /// Bytes of the touched sketch cells (last trial).
+    pub touched_bytes: usize,
+    /// Nominal sketch bytes (last trial).
+    pub nominal_bytes: usize,
+}
+
+/// E12 (Theorem 10): AGM spanning forests under deletion churn. Prints
+/// the table and returns its rows.
+pub fn agm_forest(scale: Scale) -> Vec<ForestRow> {
     println!("\n## E12 — AGM spanning forest correctness under churn\n");
     let ns: &[usize] = scale.pick(&[64, 128, 256][..], &[64, 128][..]);
     let trials = scale.pick(10u64, 4);
+    let mut rows = Vec::new();
+    for &n in ns {
+        for churn in [0.0, 1.0, 3.0] {
+            let mut correct = Vec::new();
+            let mut row = ForestRow {
+                n,
+                churn,
+                correct: 0.0,
+                decode_failures: 0,
+                touched_bytes: 0,
+                nominal_bytes: 0,
+            };
+            for seed in 0..trials {
+                let g = gen::erdos_renyi(n, 6.0 / n as f64, seed * 17 + n as u64);
+                let stream = GraphStream::with_churn(&g, churn, seed * 19 + 3);
+                let mut sk = AgmSketch::new(n, seed * 23 + 5);
+                for up in stream.updates() {
+                    sk.update(up.edge, up.delta as i128);
+                }
+                row.touched_bytes = sk.space_bytes();
+                row.nominal_bytes = sk.nominal_bytes();
+                let f = sk.spanning_forest();
+                row.decode_failures += f.decode_failures;
+                correct.push(is_spanning_forest(&g, &f.edges));
+            }
+            row.correct = success_rate(correct);
+            rows.push(row);
+        }
+    }
     let mut t = Table::new(&[
         "n",
         "churn",
@@ -95,34 +142,16 @@ pub fn agm_forest(scale: Scale) {
         "bytes (touched)",
         "bytes (nominal)",
     ]);
-    for &n in ns {
-        for churn in [0.0, 1.0, 3.0] {
-            let mut correct = Vec::new();
-            let mut failures = 0usize;
-            let mut touched = 0usize;
-            let mut nominal = 0usize;
-            for seed in 0..trials {
-                let g = gen::erdos_renyi(n, 6.0 / n as f64, seed * 17 + n as u64);
-                let stream = GraphStream::with_churn(&g, churn, seed * 19 + 3);
-                let mut sk = AgmSketch::new(n, seed * 23 + 5);
-                for up in stream.updates() {
-                    sk.update(up.edge, up.delta as i128);
-                }
-                touched = sk.space_bytes();
-                nominal = sk.nominal_bytes();
-                let f = sk.spanning_forest();
-                failures += f.decode_failures;
-                correct.push(is_spanning_forest(&g, &f.edges));
-            }
-            t.add_row(&[
-                n.to_string(),
-                format!("{churn:.0}x"),
-                format!("{:.2}", success_rate(correct)),
-                failures.to_string(),
-                human_bytes(touched),
-                human_bytes(nominal),
-            ]);
-        }
+    for r in &rows {
+        t.add_row(&[
+            r.n.to_string(),
+            format!("{:.0}x", r.churn),
+            format!("{:.2}", r.correct),
+            r.decode_failures.to_string(),
+            human_bytes(r.touched_bytes),
+            human_bytes(r.nominal_bytes),
+        ]);
     }
     println!("{t}");
+    rows
 }

@@ -53,15 +53,32 @@ pub fn spanner_size(scale: Scale) {
     println!("{t}");
 }
 
+/// One row of E2: stretch of the two-pass spanner over the trials at
+/// one `(n, k)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StretchRow {
+    /// Vertices.
+    pub n: usize,
+    /// Hierarchy depth; the guarantee is stretch `2^k`.
+    pub k: usize,
+    /// Largest measured stretch over the trials.
+    pub max_stretch: f64,
+    /// Mean measured stretch over the trials.
+    pub mean_stretch: f64,
+    /// Trials whose stretch exceeded `2^k`.
+    pub violations: usize,
+}
+
 /// E2 (Lemma 13 / Theorem 1): measured stretch vs the `2^k` guarantee.
-pub fn spanner_stretch(scale: Scale) {
+/// Prints the table and returns its rows.
+pub fn spanner_stretch(scale: Scale) -> Vec<StretchRow> {
     println!("\n## E2 — multiplicative stretch vs the 2^k guarantee\n");
     let ns: &[usize] = scale.pick(&[64, 128, 256][..], &[64, 96][..]);
     let trials = scale.pick(5, 2);
-    let mut t = Table::new(&["n", "k", "2^k", "max stretch", "mean stretch", "violations"]);
+    let mut rows = Vec::new();
     for &n in ns {
         for k in [1usize, 2, 3] {
-            let mut max_s: f64 = 1.0;
+            let mut max_stretch: f64 = 1.0;
             let mut sum = 0.0;
             let mut violations = 0;
             for trial in 0..trials {
@@ -71,20 +88,31 @@ pub fn spanner_stretch(scale: Scale) {
                 if s > (1u64 << k) as f64 {
                     violations += 1;
                 }
-                max_s = max_s.max(s);
+                max_stretch = max_stretch.max(s);
                 sum += s;
             }
-            t.add_row(&[
-                n.to_string(),
-                k.to_string(),
-                (1u64 << k).to_string(),
-                format!("{max_s:.2}"),
-                format!("{:.2}", sum / trials as f64),
-                violations.to_string(),
-            ]);
+            rows.push(StretchRow {
+                n,
+                k,
+                max_stretch,
+                mean_stretch: sum / trials as f64,
+                violations,
+            });
         }
     }
+    let mut t = Table::new(&["n", "k", "2^k", "max stretch", "mean stretch", "violations"]);
+    for r in &rows {
+        t.add_row(&[
+            r.n.to_string(),
+            r.k.to_string(),
+            (1u64 << r.k).to_string(),
+            format!("{:.2}", r.max_stretch),
+            format!("{:.2}", r.mean_stretch),
+            r.violations.to_string(),
+        ]);
+    }
     println!("{t}");
+    rows
 }
 
 /// E3 (Theorem 1): measured sketch bytes vs `n^{1+1/k}` scaling; pass
@@ -164,13 +192,53 @@ pub fn cluster_expansion(scale: Scale) {
     println!("{t}");
 }
 
-/// E5 (Lemma 13 induction): cluster diameters vs `2^{i+1} - 2`.
-pub fn cluster_diameter(scale: Scale) {
+/// One row of E5: the witness trees of one clustering level.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DiameterRow {
+    /// Clustering level `i`.
+    pub level: usize,
+    /// Cluster centers at this level.
+    pub clusters: usize,
+    /// Largest witness-tree diameter.
+    pub max_diameter: u32,
+    /// Lemma 13's bound `2^{i+1} − 2`.
+    pub bound: u64,
+    /// Clusters above the bound, or without a witness tree.
+    pub violations: usize,
+}
+
+/// E5 (Lemma 13 induction): cluster diameters vs `2^{i+1} - 2`. Prints
+/// the table and returns its rows.
+pub fn cluster_diameter(scale: Scale) -> Vec<DiameterRow> {
     println!("\n## E5 — witness-tree diameters vs Lemma 13's 2^(i+1)-2\n");
     let n = scale.pick(256, 96);
     let k = 3;
     let g = dense_input(n, 17);
     let out = run_spanner(&g, k, 500);
+    let mut rows = Vec::new();
+    for level in 0..k {
+        let bound = (1u64 << (level + 1)) - 2;
+        let mut row = DiameterRow {
+            level,
+            clusters: 0,
+            max_diameter: 0,
+            bound,
+            violations: 0,
+        };
+        for u in out.forest.centers_at(level).collect::<Vec<_>>() {
+            row.clusters += 1;
+            match out.forest.witness_diameter(NodeId::new(level, u)) {
+                Some(d) => {
+                    row.max_diameter = row.max_diameter.max(d);
+                    if d as u64 > bound {
+                        row.violations += 1;
+                    }
+                }
+                None => row.violations += 1,
+            }
+        }
+        rows.push(row);
+    }
     let mut t = Table::new(&[
         "level i",
         "clusters",
@@ -178,33 +246,17 @@ pub fn cluster_diameter(scale: Scale) {
         "bound 2^(i+1)-2",
         "violations",
     ]);
-    for i in 0..k {
-        let mut max_d = 0u32;
-        let mut count = 0usize;
-        let mut violations = 0usize;
-        let bound = (1u64 << (i + 1)) - 2;
-        for u in out.forest.centers_at(i).collect::<Vec<_>>() {
-            let node = NodeId::new(i, u);
-            count += 1;
-            match out.forest.witness_diameter(node) {
-                Some(d) => {
-                    max_d = max_d.max(d);
-                    if d as u64 > bound {
-                        violations += 1;
-                    }
-                }
-                None => violations += 1,
-            }
-        }
+    for r in &rows {
         t.add_row(&[
-            i.to_string(),
-            count.to_string(),
-            max_d.to_string(),
-            bound.to_string(),
-            violations.to_string(),
+            r.level.to_string(),
+            r.clusters.to_string(),
+            r.max_diameter.to_string(),
+            r.bound.to_string(),
+            r.violations.to_string(),
         ]);
     }
     println!("{t}");
+    rows
 }
 
 /// E13 (Remark 14): weighted graphs via geometric weight classes.

@@ -1,8 +1,11 @@
 //! Union–find and connected components.
 //!
-//! The verification targets for the AGM spanning-forest sketch (Theorem 10):
-//! a correct forest must connect exactly the pairs connected in the input
-//! graph.
+//! [`forest_of`] is the one component pass: the served connectivity
+//! artifact and the exact labels every check compares it against both
+//! come from it, so they share one label convention (the smallest vertex
+//! of each component). [`is_spanning_forest`] is the verification target
+//! for the AGM spanning-forest sketch (Theorem 10): a correct forest must
+//! connect exactly the pairs connected in the input graph.
 
 use crate::graph::Graph;
 use crate::ids::{Edge, Vertex};
@@ -83,24 +86,48 @@ impl UnionFind {
     }
 }
 
-/// Labels each vertex with a component id (the smallest vertex in its
-/// component).
-pub fn connected_components(g: &Graph) -> Vec<Vertex> {
-    let mut uf = UnionFind::new(g.num_vertices());
-    for e in g.edges() {
-        uf.union(e.u(), e.v());
-    }
-    let n = g.num_vertices();
-    let mut label = vec![0 as Vertex; n];
+/// A spanning forest of an edge list, with the component structure it
+/// induces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Forest {
+    /// The edges that joined two components, in input order.
+    pub edges: Vec<Edge>,
+    /// Component label per vertex: the smallest vertex of its component
+    /// (two vertices are connected iff their labels are equal).
+    pub labels: Vec<Vertex>,
+    /// Number of connected components (isolated vertices included).
+    pub num_components: usize,
+}
+
+/// One union–find pass over `edges` on `n` vertices. Every edge that
+/// joins two components becomes a forest edge, so a sorted input gives a
+/// deterministic forest.
+pub fn forest_of<I: IntoIterator<Item = Edge>>(n: usize, edges: I) -> Forest {
+    let mut uf = UnionFind::new(n);
+    let edges: Vec<Edge> = edges
+        .into_iter()
+        .filter(|e| uf.union(e.u(), e.v()))
+        .collect();
+    let mut labels = vec![0 as Vertex; n];
     let mut smallest = vec![Vertex::MAX; n];
     for v in 0..n as Vertex {
         let r = uf.find(v) as usize;
         if smallest[r] == Vertex::MAX {
             smallest[r] = v;
         }
-        label[v as usize] = smallest[r];
+        labels[v as usize] = smallest[r];
     }
-    label
+    Forest {
+        edges,
+        labels,
+        num_components: uf.num_components(),
+    }
+}
+
+/// Labels each vertex with a component id (the smallest vertex in its
+/// component).
+pub fn connected_components(g: &Graph) -> Vec<Vertex> {
+    forest_of(g.num_vertices(), g.edges().iter().copied()).labels
 }
 
 /// Number of connected components.
@@ -195,6 +222,27 @@ mod tests {
         let g = gen::path(4);
         let forest = vec![Edge::new(0, 3)];
         assert!(!is_spanning_forest(&g, &forest));
+    }
+
+    #[test]
+    fn forest_of_keeps_joining_edges_and_smallest_labels() {
+        let g = Graph::from_edges(
+            6,
+            [
+                Edge::new(0, 1),
+                Edge::new(0, 2),
+                Edge::new(1, 2),
+                Edge::new(3, 5),
+            ],
+        );
+        let f = forest_of(6, g.edges().iter().copied());
+        assert_eq!(
+            f.edges,
+            vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(3, 5)]
+        );
+        assert_eq!(f.labels, vec![0, 0, 0, 3, 4, 3]);
+        assert_eq!(f.num_components, 3);
+        assert!(is_spanning_forest(&g, &f.edges));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! | `/healthz` | `ok` |
 //! | `/epochz` | JSON array of per-tenant [`TenantEpochStats`] |
 //! | `/tracez` | Chrome `trace_event` JSON: recorder dump + incidents |
-//! | `/qualityz` | JSON quality-audit report: samples, error quantiles, violations |
+//! | `/qualityz` | JSON array: per tenant, the [`self_audit`] verdict on its current epoch |
 //!
 //! The server exists to be scraped — by Prometheus, by `curl`, by the CI
 //! smoke test — not to be a web framework: it reads one request line,
@@ -16,7 +16,10 @@
 //! Malformed requests get a 400, unknown paths a 404, and a read that
 //! stalls past one second is dropped so a half-open client cannot wedge
 //! the accept loop.
+//!
+//! [`self_audit`]: crate::audit::self_audit
 
+use crate::audit::self_audit;
 use crate::registry::GraphRegistry;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -128,10 +131,7 @@ fn serve_one(mut stream: TcpStream, registry: &GraphRegistry) -> std::io::Result
             &mut stream,
             200,
             "application/json",
-            &registry.auditor().map_or_else(
-                || crate::audit::QUALITYZ_DISABLED.to_string(),
-                |a| a.render_qualityz(),
-            ),
+            &render_qualityz(registry),
         ),
         _ => respond(&mut stream, 404, "text/plain", "not found\n"),
     }
@@ -214,9 +214,35 @@ fn render_epochz(registry: &GraphRegistry) -> String {
     out
 }
 
-/// Renders `s` as a quoted JSON string literal (shared with the quality
-/// auditor's `/qualityz` renderer).
-pub(crate) fn json_escape(s: &str) -> String {
+/// Runs [`self_audit`] on every tenant's current snapshot and renders
+/// the verdicts as a JSON array, sorted by name. The battery builds any
+/// artifact no query has built yet for that epoch, once, as the first
+/// query would.
+fn render_qualityz(registry: &GraphRegistry) -> String {
+    let mut out = String::from("[");
+    for name in registry.names() {
+        let Ok(graph) = registry.get(&name) else {
+            continue; // removed since `names()`
+        };
+        let snap = graph.snapshot();
+        let verdict = self_audit(&snap);
+        if out.len() > 1 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"graph\":{},\"epoch\":{},\"samples\":{},\"violations\":{}}}",
+            json_escape(&name),
+            snap.epoch(),
+            verdict.samples,
+            verdict.violations
+        ));
+    }
+    out.push_str("]\n");
+    out
+}
+
+/// Renders `s` as a quoted JSON string literal.
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -9,13 +9,14 @@
 //! except the one-shot initialization of its artifact cells.
 //!
 //! Artifacts are cached per epoch in [`OnceLock`]s, and each is built
-//! **once per epoch, from this snapshot alone** — no artifact reads a
-//! predecessor epoch, so each is a deterministic function of its own
-//! snapshot, and sharded ≡ single and recovered ≡ uncrashed hold by
-//! construction:
+//! **once per epoch, from this snapshot's sealed segment alone** — no
+//! artifact reads a predecessor epoch or decodes the sketch, so each is a
+//! deterministic function of the segment, and sharded ≡ single and
+//! recovered ≡ uncrashed hold by construction:
 //!
-//! * **spanning forest + component labels** — decoded from the AGM sketch
-//!   (Theorem 10); backs connectivity and same-component queries;
+//! * **spanning forest + component labels** — one union–find pass over
+//!   the segment's sorted entries ([`dsg_graph::components::forest_of`]);
+//!   exact, and backs connectivity and same-component queries;
 //! * **distance oracle** — the Baswana–Sen `(2k−1)`-spanner of the sealed
 //!   segment's live graph, wrapped in the memoizing [`DistanceOracle`];
 //!   backs distance and far/near queries with stretch at most
@@ -27,15 +28,16 @@
 //!   segment's live graph; backs cut-value queries, which it answers
 //!   exactly in one O(live edges) scan.
 //!
-//! The oracle and the cut Laplacian read the **same** sealed segment (one
-//! `Arc`, built once at epoch advance) — no per-artifact log
-//! materialization.
+//! All three read the **same** sealed segment (one `Arc`, built once at
+//! epoch advance) — no per-artifact log materialization.
 //!
-//! The merged sketch of successive snapshots is structurally shared: an
-//! advance re-merges only the vertices its updates touched and points at
-//! the predecessor's states for the rest, so holding the previous epoch
-//! costs O(changes) memory (see `DESIGN.md`, "Structural sharing of the
-//! merged sketch").
+//! The merged sketch answers no query. Checkpoints persist the shard
+//! sketches it is merged from, and [`EpochSnapshot::sketch`] exposes it
+//! for their bit-identity checks. Successive snapshots share it
+//! structurally: an advance re-merges only the vertices its updates
+//! touched and points at the predecessor's states for the rest, so
+//! holding the previous epoch costs O(changes) memory (see `DESIGN.md`,
+//! "Structural sharing of the merged sketch").
 //!
 //! `OnceLock::get_or_init` guarantees each artifact is built exactly once
 //! per epoch no matter how many readers race for it; advancing the epoch
@@ -44,9 +46,8 @@
 use crate::metrics::{ArtifactMetrics, ART_CUT, ART_FOREST, ART_ORACLE};
 use crate::query::{GraphStats, Query, Response};
 use crate::{GraphConfig, ServiceError};
-use dsg_agm::forest::ForestResult;
 use dsg_agm::AgmSketch;
-use dsg_graph::components::UnionFind;
+use dsg_graph::components::{forest_of, Forest};
 use dsg_graph::{NetMultiset, Vertex};
 use dsg_spanner::baswana_sen;
 use dsg_spanner::oracle::DistanceOracle;
@@ -54,18 +55,10 @@ use dsg_sparsifier::Laplacian;
 use dsg_telemetry::{trace, EventKind};
 use std::sync::{Arc, OnceLock};
 
-/// The spanning forest of an epoch plus the component structure derived
-/// from it, so membership queries are O(1) after one decode.
-#[derive(Debug, Clone)]
-pub struct ForestData {
-    /// The decoded forest (Theorem 10).
-    pub result: ForestResult,
-    /// Component representative per vertex (two vertices are connected
-    /// iff their labels are equal).
-    pub labels: Vec<Vertex>,
-    /// Number of connected components (isolated vertices included).
-    pub num_components: usize,
-}
+/// The spanning forest of an epoch's sealed segment plus its component
+/// structure (`edges`, smallest-vertex `labels`, `num_components`), so
+/// membership queries are O(1) after one union–find pass.
+pub type ForestData = Forest;
 
 /// The cut-query artifact: the exact Laplacian of the epoch's live graph.
 #[derive(Debug, Clone)]
@@ -93,8 +86,8 @@ pub struct EpochSnapshot {
     total_updates: u64,
     sketch: AgmSketch,
     /// The compacted net edge segment sealed at the epoch boundary — the
-    /// single shared input both the oracle and the cut Laplacian are
-    /// built from (O(current edges), order-free).
+    /// single shared input every artifact is built from (O(current
+    /// edges), order-free).
     net: Arc<NetMultiset>,
     forest: OnceLock<Arc<ForestData>>,
     oracle: OnceLock<Arc<DistanceOracle>>,
@@ -149,7 +142,8 @@ impl EpochSnapshot {
         self.total_updates
     }
 
-    /// The merged coordinator sketch frozen at the epoch boundary.
+    /// The merged coordinator sketch frozen at the epoch boundary. No
+    /// query reads it: it is what checkpoints persist, split by shard.
     pub fn sketch(&self) -> &AgmSketch {
         &self.sketch
     }
@@ -164,7 +158,7 @@ impl EpochSnapshot {
     }
 
     /// The compacted net edge segment frozen into this snapshot — the
-    /// shared artifact input, and (for offline verification) an exact
+    /// input of every artifact, and (for offline verification) an exact
     /// order-free summary of the frozen prefix.
     pub fn net_edges(&self) -> &Arc<NetMultiset> {
         &self.net
@@ -200,22 +194,13 @@ impl EpochSnapshot {
         }))
     }
 
-    /// The forest artifact, built on first use (one sketch decode).
+    /// The forest artifact, built on first use: one union–find pass over
+    /// the sealed segment's sorted entries, so the forest is exact and
+    /// deterministic in the segment, and its labels equal
+    /// `connected_components(&net.final_graph())`.
     pub fn forest(&self) -> Arc<ForestData> {
         self.artifact(&self.forest, ART_FOREST, || {
-            let n = self.config.n;
-            let result = self.sketch.spanning_forest();
-            let mut uf = UnionFind::new(n);
-            for e in &result.edges {
-                uf.union(e.u(), e.v());
-            }
-            let labels: Vec<Vertex> = (0..n as Vertex).map(|v| uf.find(v)).collect();
-            let num_components = uf.num_components();
-            ForestData {
-                result,
-                labels,
-                num_components,
-            }
+            forest_of(self.config.n, self.net.entries().iter().map(|e| e.edge))
         })
     }
 

@@ -14,14 +14,17 @@
 //!    with answers bit-identical to an offline recomputation over the
 //!    stream prefix the epoch froze.
 //!
-//! Expensive derived objects — the spanning forest, the
+//! Expensive derived objects — the spanning forest and component labels
+//! (one union–find pass over the sealed segment), the
 //! [`DistanceOracle`](dsg_spanner::oracle::DistanceOracle) over a
 //! Baswana–Sen spanner of the sealed segment (stretch `2k − 1`), the exact
 //! Laplacian of the sealed segment that answers cut queries — are built
 //! **lazily, once per epoch**, behind [`Arc`]s in a per-snapshot artifact
-//! cache. Each is built from its own snapshot alone, never patched from
-//! the previous epoch's; advancing the epoch publishes a fresh snapshot
-//! and thereby invalidates the old artifacts wholesale.
+//! cache. Each is built from its own snapshot's segment alone, never
+//! patched from the previous epoch's; advancing the epoch publishes a
+//! fresh snapshot and thereby invalidates the old artifacts wholesale.
+//! So every answer is exact or, for distances, inside the Baswana–Sen
+//! bound, which always holds; [`audit::self_audit`] checks both.
 //!
 //! [`GraphRegistry`] hosts many named graphs (multi-tenancy), and
 //! [`QueryService`] executes a typed [`Query`]/[`Response`] API on a
@@ -66,7 +69,7 @@ mod registry;
 mod workload;
 
 pub use admin::AdminServer;
-pub use audit::{AuditConfig, AuditFinding, AuditSample, QualityAuditor, QualityVerdict};
+pub use audit::{AuditFinding, QualityVerdict};
 pub use compact::ShardedCompactedLog;
 pub use dsg_graph::{CompactError, CompactedLog};
 pub use dsg_telemetry::{

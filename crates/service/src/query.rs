@@ -1,17 +1,16 @@
 //! The typed query API and the worker pool that executes it.
 //!
 //! [`Query`] names the read operations the paper's structures support:
-//! connectivity and same-component from the AGM spanning forest (Theorem
-//! 10), distance estimates and far/near threshold tests from the spanner
-//! oracle (stretch `2k − 1`; the `ESTIMATE` primitive of Algorithm 4), exact
-//! cut values from the Laplacian of the epoch's sealed segment, and a
-//! stats probe. [`QueryService`] fans queries
+//! exact connectivity and same-component from one union–find pass over
+//! the epoch's sealed segment, distance estimates and far/near threshold
+//! tests from the spanner oracle (stretch `2k − 1`; the `ESTIMATE`
+//! primitive of Algorithm 4), exact cut values from the Laplacian of the
+//! same segment, and a stats probe. [`QueryService`] fans queries
 //! out to a pool of worker threads over the shared [`GraphRegistry`];
 //! each worker resolves the target graph's *current* epoch snapshot and
 //! executes against it, so workers never block ingest and ingest never
 //! tears a read.
 
-use crate::audit::AuditSample;
 use crate::epoch::ArtifactStatus;
 use crate::metrics::QUERY_VARIANTS;
 use crate::registry::GraphRegistry;
@@ -180,9 +179,6 @@ impl QueryService {
         let queue_wait = telemetry.histogram("dsg_service_pool_queue_wait_nanos");
         let execute = telemetry.histogram("dsg_service_pool_execute_nanos");
         let tracer = registry.tracer().clone();
-        // Captured once at pool start: install the auditor on the
-        // registry *before* starting pools that should sample into it.
-        let auditor = registry.auditor();
         let slow_nanos = Arc::new(AtomicU64::new(u64::MAX));
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -193,7 +189,6 @@ impl QueryService {
                 let queue_wait = queue_wait.clone();
                 let execute = execute.clone();
                 let tracer = tracer.clone();
-                let auditor = auditor.clone();
                 let slow_nanos = Arc::clone(&slow_nanos);
                 std::thread::Builder::new()
                     .name(format!("dsg-query-worker-{i}"))
@@ -221,29 +216,9 @@ impl QueryService {
                         let timed =
                             execute.is_active() || job.trace_id != 0 || threshold != u64::MAX;
                         let started = timed.then(Instant::now);
-                        // Deterministic audit sampling: decided before
-                        // execution so the sampled path can pin the
-                        // answering snapshot for the shadow recompute.
-                        let sampled = auditor.as_ref().filter(|a| a.should_sample(job.trace_id));
-                        let mut audit_sample = None;
                         let result = {
                             let _scope = trace::scoped(job.trace_id);
-                            match sampled {
-                                None => registry.get(&job.graph).and_then(|g| g.query(&job.query)),
-                                Some(_) => registry.get(&job.graph).and_then(|g| {
-                                    let (snap, result) = g.query_pinned(&job.query);
-                                    if let Ok(response) = &result {
-                                        audit_sample = Some(AuditSample {
-                                            graph: job.graph.clone(),
-                                            trace_id: job.trace_id,
-                                            query: job.query.clone(),
-                                            response: response.clone(),
-                                            snapshot: snap,
-                                        });
-                                    }
-                                    result
-                                }),
-                            }
+                            registry.get(&job.graph).and_then(|g| g.query(&job.query))
                         };
                         if let Some(started) = started {
                             let nanos = started.elapsed().as_nanos() as u64;
@@ -261,12 +236,6 @@ impl QueryService {
                         }
                         // A dropped ticket is fine; the answer is discarded.
                         let _ = job.reply.send(result);
-                        // Enqueue the audit sample only after the answer
-                        // is out: auditing never delays the caller, and a
-                        // full queue just counts an overflow.
-                        if let (Some(auditor), Some(sample)) = (sampled, audit_sample) {
-                            auditor.offer(sample);
-                        }
                     })
                     .expect("failed to spawn query worker")
             })

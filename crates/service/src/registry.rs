@@ -15,10 +15,9 @@
 //! and writer-side state is O(current edges) — never O(stream length).
 //! Advancing an epoch seals one net segment per shard and assembles the
 //! epoch segment by concatenating them (disjoint by routing). Each
-//! published snapshot builds its artifacts from its own segment and
-//! sketch only; no snapshot links to its predecessor.
+//! published snapshot builds its artifacts from its own segment only; no
+//! artifact links to a predecessor epoch.
 
-use crate::audit::{AuditConfig, QualityAuditor};
 use crate::compact::ShardedCompactedLog;
 use crate::epoch::EpochSnapshot;
 use crate::metrics::GraphMetrics;
@@ -448,21 +447,8 @@ impl ServedGraph {
     ///
     /// Whatever [`EpochSnapshot::execute`] returns.
     pub fn query(&self, query: &Query) -> Result<Response, ServiceError> {
-        self.query_pinned(query).1
-    }
-
-    /// Like [`query`](ServedGraph::query), but also returns the epoch
-    /// snapshot that answered — what the quality auditor needs so a
-    /// shadow recompute verifies against the *answering* epoch even if
-    /// ingest advances in between.
-    pub fn query_pinned(
-        &self,
-        query: &Query,
-    ) -> (Arc<EpochSnapshot>, Result<Response, ServiceError>) {
-        let hist = &self.metrics.queries[query.variant_index()];
         let snap = self.snapshot();
-        let result = hist.time(|| snap.execute(query));
-        (snap, result)
+        self.metrics.queries[query.variant_index()].time(|| snap.execute(query))
     }
 
     /// This tenant's slice of the telemetry registry: every series
@@ -528,9 +514,6 @@ pub struct GraphRegistry {
     graphs: RwLock<HashMap<String, Arc<ServedGraph>>>,
     telemetry: Arc<MetricRegistry>,
     tracer: FlightRecorder,
-    /// The accuracy auditor, when installed — query pools sample served
-    /// answers into it; the admin server renders it as `/qualityz`.
-    auditor: RwLock<Option<Arc<QualityAuditor>>>,
 }
 
 impl Default for GraphRegistry {
@@ -564,31 +547,7 @@ impl GraphRegistry {
             graphs: RwLock::new(HashMap::new()),
             telemetry,
             tracer,
-            auditor: RwLock::new(None),
         }
-    }
-
-    /// Installs (and starts) the quality auditor on this registry.
-    /// Install **before** starting query pools: each
-    /// [`QueryService`](crate::QueryService) captures the auditor handle
-    /// once at pool start, so a later install is invisible to running
-    /// pools. Replacing an existing auditor shuts the old one down.
-    pub fn install_auditor(&self, cfg: AuditConfig) -> Arc<QualityAuditor> {
-        let auditor = QualityAuditor::start(Arc::clone(&self.telemetry), self.tracer.clone(), cfg);
-        let old = self
-            .auditor
-            .write()
-            .expect("auditor lock poisoned")
-            .replace(Arc::clone(&auditor));
-        if let Some(old) = old {
-            old.shutdown();
-        }
-        auditor
-    }
-
-    /// The installed quality auditor, if any.
-    pub fn auditor(&self) -> Option<Arc<QualityAuditor>> {
-        self.auditor.read().expect("auditor lock poisoned").clone()
     }
 
     /// The shared metric registry all tenants record into.
@@ -854,7 +813,7 @@ mod tests {
             dsg_sketch::LinearSketch::to_bytes(sb.sketch()),
             "restored graph diverged from the uninterrupted one"
         );
-        assert_eq!(sa.forest().result.edges, sb.forest().result.edges);
+        assert_eq!(sa.forest().edges, sb.forest().edges);
         assert_eq!(sa.total_updates(), sb.total_updates());
         assert!(matches!(
             reg2.restore("live", config, back.checkpoint_state()),

@@ -6,8 +6,7 @@
 
 use dsg_graph::StreamUpdate;
 use dsg_service::{
-    AdminServer, AuditConfig, FlightRecorder, GraphConfig, GraphRegistry, MetricRegistry, Query,
-    QueryService,
+    AdminServer, FlightRecorder, GraphConfig, GraphRegistry, MetricRegistry, Query, QueryService,
 };
 use dsg_util::json::{parse, JsonValue};
 use std::io::{Read, Write};
@@ -131,63 +130,54 @@ fn admin_endpoint_serves_scrapable_metrics_and_valid_trace_json() {
     server.shutdown();
 }
 
-/// `/qualityz` answers on both sides of auditor installation: the
-/// disabled stub without one, and a populated report (with the sampled
-/// queries accounted for) once the auditor has run.
+/// `/qualityz` runs the self-audit battery on every tenant's current
+/// epoch per scrape: two honest tenants of different shapes each report
+/// the full battery and no violation.
 #[test]
-fn qualityz_reports_disabled_then_audited_state() {
-    let registry = Arc::new(GraphRegistry::with_observability(
-        Arc::new(MetricRegistry::new()),
-        FlightRecorder::with_capacity(1024),
-    ));
-    let g = registry
-        .create("social", GraphConfig::new(16).shards(2))
+fn qualityz_self_audits_every_tenant() {
+    let registry = Arc::new(GraphRegistry::new());
+    let path = registry
+        .create("path", GraphConfig::new(16).shards(2))
         .unwrap();
-    g.apply(
+    path.apply(
         &(0..12)
             .map(|v| StreamUpdate::insert(v, v + 1))
             .collect::<Vec<_>>(),
     )
     .unwrap();
-    g.advance_epoch();
+    path.advance_epoch();
+    let ring = registry
+        .create("ring", GraphConfig::new(24).shards(3).spanner_k(3))
+        .unwrap();
+    ring.apply(
+        &(0..24)
+            .map(|v| StreamUpdate::insert(v, (v + 1) % 24))
+            .collect::<Vec<_>>(),
+    )
+    .unwrap();
+    ring.advance_epoch();
+    ring.delete(3, 4).unwrap();
+    ring.advance_epoch();
     let server = AdminServer::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
-    let addr = server.local_addr();
 
-    // No auditor installed: the route still answers, explicitly disabled.
-    let (status, body) = scrape(addr, "/qualityz");
+    let (status, body) = scrape(server.local_addr(), "/qualityz");
     assert_eq!(status, 200);
-    let doc = parse(&body).expect("/qualityz must be valid JSON when disabled");
-    assert_eq!(doc.get("enabled").and_then(JsonValue::as_bool), Some(false));
-
-    // Audit every query, serve a few, and the scrape reflects them.
-    let auditor = registry.install_auditor(AuditConfig {
-        sample_every: 1,
-        ..AuditConfig::default()
-    });
-    let pool = QueryService::start(Arc::clone(&registry), 1);
-    for v in 1..6 {
-        pool.query_blocking("social", Query::Distance(0, v))
-            .unwrap();
-    }
-    pool.shutdown();
-    auditor.flush();
-
-    let (status, body) = scrape(addr, "/qualityz");
-    assert_eq!(status, 200);
-    let doc = parse(&body).expect("/qualityz must be valid JSON when enabled");
-    assert_eq!(doc.get("enabled").and_then(JsonValue::as_bool), Some(true));
-    assert_eq!(doc.get("sample_every").and_then(JsonValue::as_u64), Some(1));
-    let tenants = doc.get("tenants").and_then(JsonValue::as_array).unwrap();
-    let tenant = tenants
+    let doc = parse(&body).expect("/qualityz must be valid JSON");
+    let tenants = doc.as_array().expect("/qualityz must be an array");
+    let graphs: Vec<&str> = tenants
         .iter()
-        .find(|t| t.get("graph").and_then(JsonValue::as_str) == Some("social"))
-        .expect("audited tenant listed");
-    assert!(tenant.get("samples").and_then(JsonValue::as_u64).unwrap() >= 5);
-    assert_eq!(
-        tenant.get("violations").and_then(JsonValue::as_u64),
-        Some(0),
-        "an honest path graph must audit clean: {body}"
-    );
+        .map(|t| t.get("graph").and_then(JsonValue::as_str).unwrap())
+        .collect();
+    assert_eq!(graphs, ["path", "ring"]);
+    for (t, epoch) in tenants.iter().zip([1, 2]) {
+        assert_eq!(t.get("epoch").and_then(JsonValue::as_u64), Some(epoch));
+        assert!(t.get("samples").and_then(JsonValue::as_u64).unwrap() >= 6);
+        assert_eq!(
+            t.get("violations").and_then(JsonValue::as_u64),
+            Some(0),
+            "an honest tenant must audit clean: {body}"
+        );
+    }
 
     server.shutdown();
 }

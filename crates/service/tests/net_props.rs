@@ -6,12 +6,14 @@
 //! permutations; insert/delete interleavings at different churn volumes)
 //! but equal net effect against each other and demand bit-identical
 //! epochs: sketch bytes, sealed segments, forest edges, component labels,
-//! oracle distances, and cut values — which are exact. Plus the guard
+//! oracle distances, and cut values. Forests and cuts are also checked
+//! exact against the sealed segment's live graph. Plus the guard
 //! rail that makes cancellation sound: a deletion below net
 //! multiplicity zero is a typed, whole-batch-atomic error.
 
 use dsg_agm::AgmSketch;
 use dsg_engine::{merge_tree, EdgeUpdate, EngineConfig, ShardedEngine};
+use dsg_graph::components::{connected_components, is_spanning_forest};
 use dsg_graph::{gen, Edge, Graph, GraphStream, StreamUpdate, Vertex};
 use dsg_service::{EpochSnapshot, GraphConfig, GraphRegistry, Query, Response, ServiceError};
 use dsg_sketch::LinearSketch;
@@ -52,6 +54,24 @@ fn assert_cuts_exact(snap: &EpochSnapshot, g: &Graph) {
     }
 }
 
+/// The served forest is exact: its labels are the smallest-vertex
+/// components of the sealed segment's live graph, and its edges form a
+/// spanning forest of that graph with `n − num_components` edges.
+fn assert_forest_exact(snap: &EpochSnapshot) {
+    let g = snap.net_edges().final_graph();
+    let forest = snap.forest();
+    assert_eq!(forest.labels, connected_components(&g), "labels");
+    assert!(
+        is_spanning_forest(&g, &forest.edges),
+        "not a spanning forest"
+    );
+    assert_eq!(
+        forest.edges.len(),
+        g.num_vertices() - forest.num_components,
+        "forest size"
+    );
+}
+
 proptest! {
     /// Permutations: two insertion-only deliveries of the same edge set
     /// in different orders produce bit-identical epochs.
@@ -73,8 +93,9 @@ proptest! {
             "sketch bytes diverged under permutation"
         );
         prop_assert_eq!(ea.net_edges().entries(), eb.net_edges().entries());
-        prop_assert_eq!(&ea.forest().result.edges, &eb.forest().result.edges);
+        prop_assert_eq!(&ea.forest().edges, &eb.forest().edges);
         prop_assert_eq!(&ea.forest().labels, &eb.forest().labels);
+        assert_forest_exact(&ea);
         let (oa, ob) = (ea.oracle(), eb.oracle());
         for u in 0..n as Vertex {
             prop_assert_eq!(oa.estimate(u, (u + 5) % n as Vertex),
@@ -106,8 +127,10 @@ proptest! {
             "sketch bytes diverged under interleaving"
         );
         prop_assert_eq!(ea.net_edges().entries(), eb.net_edges().entries());
-        prop_assert_eq!(&ea.forest().result.edges, &eb.forest().result.edges);
+        prop_assert_eq!(&ea.forest().edges, &eb.forest().edges);
         prop_assert_eq!(ea.forest().num_components, eb.forest().num_components);
+        assert_forest_exact(&ea);
+        assert_forest_exact(&eb);
         let (oa, ob) = (ea.oracle(), eb.oracle());
         for u in 0..n as Vertex {
             prop_assert_eq!(oa.estimate(3, u), ob.estimate(3, u));
@@ -141,8 +164,10 @@ proptest! {
             "sketch bytes diverged across shard topologies"
         );
         prop_assert_eq!(multi.net_edges().entries(), single.net_edges().entries());
-        prop_assert_eq!(&multi.forest().result.edges, &single.forest().result.edges);
+        prop_assert_eq!(&multi.forest().edges, &single.forest().edges);
         prop_assert_eq!(&multi.forest().labels, &single.forest().labels);
+        assert_forest_exact(&multi);
+        assert_forest_exact(&single);
         let (om, os) = (multi.oracle(), single.oracle());
         for u in 0..n as Vertex {
             prop_assert_eq!(om.estimate(u, (u + 7) % n as Vertex),
@@ -205,7 +230,7 @@ fn assert_bit_identical(a: &EpochSnapshot, b: &EpochSnapshot, ctx: &str) {
     );
     assert_eq!(a.net_edges().entries(), b.net_edges().entries(), "{ctx}");
     let (fa, fb) = (a.forest(), b.forest());
-    assert_eq!(fa.result.edges, fb.result.edges, "forest diverged: {ctx}");
+    assert_eq!(fa.edges, fb.edges, "forest diverged: {ctx}");
     assert_eq!(fa.labels, fb.labels, "labels diverged: {ctx}");
     assert_eq!(fa.num_components, fb.num_components, "{ctx}");
     let (oa, ob) = (a.oracle(), b.oracle());
@@ -470,11 +495,7 @@ fn remerged_epoch_chain_is_bit_identical_to_full_merges() {
             );
             assert_eq!(snap.total_updates(), twin.pushed(), "{ctx}");
             if batch.is_empty() {
-                assert_eq!(
-                    snap.forest().result.edges,
-                    prev.forest().result.edges,
-                    "{ctx}"
-                );
+                assert_eq!(snap.forest().edges, prev.forest().edges, "{ctx}");
                 assert_eq!(snap.forest().labels, prev.forest().labels, "{ctx}");
             }
             let forest = snap.sketch().spanning_forest().edges;

@@ -223,7 +223,7 @@ impl DistanceOracle {
     /// **sabotage hook** for quality-audit tests and experiments: the
     /// poisoned row is served by every subsequent [`estimate`] /
     /// [`is_far`] from `u` (until evicted), letting a harness inject a
-    /// provably wrong answer and assert the auditor catches it. Never
+    /// provably wrong answer and assert the audit catches it. Never
     /// called by serving code.
     ///
     /// [`estimate`]: DistanceOracle::estimate

@@ -101,10 +101,12 @@ pub struct TenantRecovery {
     /// Scanning the last segment for a torn tail and positioning the
     /// append handle.
     pub wal_open: Duration,
-    /// Verdict of the post-recovery self-audit: one forced audit pass
-    /// (the full query battery, each answer verified against an exact
-    /// recompute) over the recovered epoch. A recovery that comes back
-    /// with `quality.violations > 0` restored a state that serves wrong
+    /// Verdict of the post-recovery self-audit: one
+    /// `dsg_service::audit::self_audit` battery over the recovered epoch,
+    /// each answer verified against an exact recompute off its sealed
+    /// segment. Every served answer is exact or inside a bound that
+    /// always holds, so a recovery that comes back with
+    /// `quality.violations > 0` restored a state that serves wrong
     /// answers — corrupt artifacts, not just lost updates.
     pub quality: QualityVerdict,
 }

@@ -57,7 +57,7 @@ fn copy_dir(src: &Path, dst: &Path) {
 }
 
 /// Everything we compare between a recovered graph and its reference run:
-/// canonical sketch bytes, the (deterministically extracted) forest, the
+/// canonical sketch bytes, the segment's union–find forest, the
 /// ingest counter, and a spread of live query answers.
 #[derive(Debug, PartialEq, Clone)]
 struct Fingerprint {
@@ -82,7 +82,7 @@ fn fingerprint(snap: &dsg_service::EpochSnapshot) -> Fingerprint {
     ];
     Fingerprint {
         sketch: LinearSketch::to_bytes(snap.sketch()),
-        forest: snap.forest().result.edges.clone(),
+        forest: snap.forest().edges.clone(),
         total_updates: snap.total_updates(),
         answers: queries.iter().map(|q| snap.execute(q).unwrap()).collect(),
     }

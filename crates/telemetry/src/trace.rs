@@ -75,8 +75,8 @@ pub enum EventKind {
     /// The watchdog flagged a query over threshold; payload = latency in
     /// nanoseconds.
     SlowQuery = 19,
-    /// The accuracy auditor caught a served answer outside its guarantee;
-    /// payload = query variant index.
+    /// The post-recovery self-audit caught served answers outside their
+    /// guarantee; payload = violation count.
     QualityViolation = 20,
     // 21 (an artifact patch) is retired likewise.
 }

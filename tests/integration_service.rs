@@ -1,13 +1,12 @@
 //! End-to-end tests of the query-serving layer, centered on **snapshot
 //! isolation**: answers read from an epoch snapshot during live concurrent
 //! ingest must be bit-identical to a single-threaded offline recomputation
-//! over the stream prefix frozen at that epoch. This is the linearity
-//! story run in reverse — the serving layer is only correct because a
-//! fork-merge of the shard sketches at any stream position equals the one
-//! sketch of that prefix, and every artifact build is deterministic.
+//! over the stream prefix frozen at that epoch. The serving layer is only
+//! correct because the sharded segments sealed at any stream position
+//! concatenate to the one net multiset of that prefix, and every artifact
+//! build is a deterministic function of it.
 
-use dsg_agm::AgmSketch;
-use dsg_graph::components::UnionFind;
+use dsg_graph::components::{forest_of, Forest};
 use dsg_graph::{gen, GraphStream, StreamUpdate, Vertex};
 use dsg_service::{GraphConfig, GraphRegistry, LoadGen, Query, QueryMix, QueryService, Response};
 use dsg_spanner::baswana_sen;
@@ -15,25 +14,12 @@ use dsg_spanner::oracle::DistanceOracle;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Single-threaded ground truth over a frozen prefix: the AGM forest and
-/// the component labels, computed exactly the way an epoch snapshot does
-/// but with no engine, no shards, and no threads.
-fn offline_forest(
-    n: usize,
-    seed: u64,
-    prefix: &[StreamUpdate],
-) -> (Vec<dsg_graph::Edge>, Vec<Vertex>) {
-    let mut sketch = AgmSketch::new(n, seed);
-    for up in prefix {
-        sketch.update(up.edge, up.delta as i128);
-    }
-    let forest = sketch.spanning_forest();
-    let mut uf = UnionFind::new(n);
-    for e in &forest.edges {
-        uf.union(e.u(), e.v());
-    }
-    let labels = (0..n as Vertex).map(|v| uf.find(v)).collect();
-    (forest.edges, labels)
+/// Single-threaded ground truth over a frozen prefix: the forest and
+/// component labels of the prefix's final graph, one union–find pass over
+/// its sorted edges with no engine, no shards, and no threads.
+fn offline_forest(n: usize, prefix: &[StreamUpdate]) -> Forest {
+    let g = GraphStream::new(n, prefix.to_vec()).final_graph();
+    forest_of(n, g.edges().iter().copied())
 }
 
 /// Single-threaded ground-truth distance oracle over a frozen prefix:
@@ -108,11 +94,11 @@ proptest! {
         writer.join().unwrap();
 
         // Offline ground truth over exactly the frozen prefix.
-        let (forest_edges, labels) = offline_forest(n, service_seed, &updates[..cut]);
-        prop_assert_eq!(&epoch.forest().result.edges, &forest_edges,
+        let offline = offline_forest(n, &updates[..cut]);
+        prop_assert_eq!(&epoch.forest().edges, &offline.edges,
             "epoch forest diverged from offline recompute");
         for (u, v, sc) in same_component {
-            prop_assert_eq!(sc, labels[u as usize] == labels[v as usize],
+            prop_assert_eq!(sc, offline.labels[u as usize] == offline.labels[v as usize],
                 "same-component answer for ({}, {}) diverged", u, v);
         }
         let oracle = offline_oracle(&config, &updates[..cut]);
@@ -125,8 +111,7 @@ proptest! {
         // whole stream — nothing was lost while snapshots were taken.
         let last = served.snapshot();
         prop_assert_eq!(last.total_updates(), updates.len() as u64);
-        let (final_edges, _) = offline_forest(n, service_seed, &updates);
-        prop_assert_eq!(&last.forest().result.edges, &final_edges);
+        prop_assert_eq!(&last.forest().edges, &offline_forest(n, &updates).edges);
     }
 }
 
